@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* enumerate    -- run the pipeline for one length (optionally one shard)
+* enumerate    -- run the pipeline for one length (optionally one shard),
+                  print its report and the CPU seconds the run took
 * postprocess  -- closure census over pair files: counts, classes, closure
 * verify       -- recheck every pair in a file with exact arithmetic
 * oracle       -- print the brute-force normalized pairs for a small length
@@ -12,6 +13,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 from pathlib import Path
 
@@ -50,6 +52,15 @@ def _read_by_length(paths):
     return by_length
 
 
+def _cpu_seconds():
+    """CPU time of this process and of its reaped children, forked workers included."""
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
+
+
 def _cmd_enumerate(args):
     cfg = pipeline.RunConfig(
         n=args.n,
@@ -61,8 +72,11 @@ def _cmd_enumerate(args):
         epsilon=args.epsilon,
         workers=args.workers,
     )
+    t0 = _cpu_seconds()
     pipeline.enumerate_pairs(cfg)
+    cpu = _cpu_seconds() - t0
     sys.stdout.write(cfg.path_report().read_text())
+    print(f"cpu_seconds={cpu:.3f}")
     return 0
 
 

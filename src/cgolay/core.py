@@ -36,11 +36,6 @@ def conj_exp(c):
     return c if c is None else (-c) & 3
 
 
-def entry_value(c):
-    """Complex value of a stored entry (0j for a masked slot)."""
-    return 0j if c is None else ENTRY_VALUES[c]
-
-
 def to_text(seq):
     """Render a sequence in the '+i-j' text form ('0' marks masked slots)."""
     return "".join(_CHAR_FOR_EXP[c] for c in seq)
@@ -52,11 +47,6 @@ def from_text(text):
         return tuple(_EXP_FOR_CHAR[ch] for ch in text)
     except KeyError as exc:
         raise ValueError(f"bad sequence character {exc.args[0]!r} in {text!r}") from None
-
-
-def seq_values(seq):
-    """Complex values of all entries, masked slots as 0j."""
-    return [entry_value(c) for c in seq]
 
 
 def conj_seq(seq):
@@ -96,11 +86,6 @@ def autocorr(seq, shift):
         re += ENTRY_RE[e]
         im += ENTRY_IM[e]
     return (re, im)
-
-
-def autocorr_vector(seq):
-    """Autocorrelations for every nonzero shift 1..n-1, as a tuple."""
-    return tuple(autocorr(seq, s) for s in range(1, len(seq)))
 
 
 def is_golay_pair(pair):

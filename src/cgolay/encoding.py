@@ -21,11 +21,11 @@ The decision order interleaves the two ends (positions 0, n-1, 1, n-2, ...)
 so that large shifts -- whose constraint windows complete first -- prune as
 early as possible.
 
-Two callback implementations are provided.  golay_callback is a direct,
-stateless reading of the rule and rescans the full assignment every time;
-PartnerChecker keeps incremental per-shift completion counts synchronized
-with the solver trail and only recomputes sums that changed.  They must
-agree move for move; tests drive both.
+find_partners searches with one callback, PartnerChecker, which keeps
+per-shift completion counts synchronized with the solver trail and only
+recomputes sums that changed.  golay_callback is the reference it is
+tested against: a direct, stateless reading of the rule that rescans the
+full assignment every time.  The two must agree move for move.
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ def _support(n, shift):
     return list(range(n))
 
 
-def build_instance(first, *, parity_clauses=True):
+def build_instance(first):
     """Solver plus encoding for all partners of the given first sequence.
 
-    The parity clauses are redundant with the callback and exist to prune;
-    disabling them must not change the solution set.
+    The parity clauses are redundant with the callback and exist to prune.
     """
     a = tuple(e & 3 for e in first)
     n = len(a)
@@ -88,18 +87,17 @@ def build_instance(first, *, parity_clauses=True):
     solver = progsat.Solver(2 * n)
     solver.add_clause((-1,))  # leading entry pinned to 1
     solver.add_clause((-2,))
-    if parity_clauses:
-        # shift n-1 fixes whether b_0 and b_{n-1} lie in the same parity
-        # class; shrinking the shift walks the same constraint inward
-        for k in range(n // 2):
-            j = n - 1 - k
-            p, q = 2 * k + 1, 2 * j + 1  # DIMACS vars of the imaginary bits
-            if (a[k] ^ a[j]) & 1:
-                solver.add_clause((p, q))
-                solver.add_clause((-p, -q))
-            else:
-                solver.add_clause((p, -q))
-                solver.add_clause((-p, q))
+    # shift n-1 fixes whether b_0 and b_{n-1} lie in the same parity
+    # class; shrinking the shift walks the same constraint inward
+    for k in range(n // 2):
+        j = n - 1 - k
+        p, q = 2 * k + 1, 2 * j + 1  # DIMACS vars of the imaginary bits
+        if (a[k] ^ a[j]) & 1:
+            solver.add_clause((p, q))
+            solver.add_clause((-p, -q))
+        else:
+            solver.add_clause((p, -q))
+            solver.add_clause((-p, q))
 
     order = []
     lo, hi = 0, n - 1
@@ -231,19 +229,15 @@ class PartnerChecker:
         return progsat.NO_CONFLICT
 
 
-def find_partners(first, *, incremental=True, parity_clauses=True):
+def find_partners(first):
     """All partner sequences of the given first member, sorted by exponents.
 
     Every reported partner is re-verified against the full pair condition
     with exact arithmetic before being returned.
     """
-    solver, enc = build_instance(first, parity_clauses=parity_clauses)
-    if incremental:
-        callback = PartnerChecker(enc)
-    else:
-        callback = lambda s: golay_callback(enc, s.assignment())
+    solver, enc = build_instance(first)
     partners = []
-    for snapshot in solver.solve_all(callback):
+    for snapshot in solver.solve_all(PartnerChecker(enc)):
         b = decode_assignment(enc, snapshot)
         if not core.is_golay_pair((enc.first, b)):
             raise RuntimeError(

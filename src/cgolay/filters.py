@@ -20,6 +20,11 @@ the configured limit, checking only odd-numbered sample points: every
 even point of one level already appeared at a coarser level, and the four
 points z = i^k are covered exactly by the entry-sum test, so nothing of
 value is skipped.
+
+This module owns the stage-1 join and its layout of sample points
+(progressive_points).  HalfJoin builds the halves' spectra at those points
+and their scaled entry sums once per run, then sweeps spans of odd halves
+against every even half; the pipeline only hands out the spans.
 """
 
 from __future__ import annotations
@@ -78,12 +83,7 @@ def stage1_schedule(dft_samples=2**7, epsilon=1e-3):
 
 def progressive_points(dft_samples):
     """The (sample_count, j) pairs a stage-1 schedule visits, in order."""
-    pts = []
-    m = 8
-    while m <= dft_samples:
-        pts.extend((m, j) for j in range(1, m, 2))
-        m *= 2
-    return pts
+    return [(m, j) for m, _ in stage1_schedule(dft_samples).stages for j in range(1, m, 2)]
 
 
 def progressive_columns(dft_samples):
@@ -290,22 +290,22 @@ def enumerate_half_candidates(n, parity, schedule):
 # stage-1 join filter
 
 
-def half_hall_columns(cands, n, dft_samples, point_major=True):
+def half_hall_columns(cands, n, dft_samples):
     """Half spectra at the progressive points, from the finest grid.
 
     Every coarser stage's points are index-subsampled from the dft_samples
     grid, so all stages share one transform.  Returns a complex array of
-    shape (points, candidates) -- or its transpose with point_major=False.
+    shape (points, candidates), points in progressive_points order.
     """
     cols = progressive_columns(dft_samples)
     rows = len(cands)
     dtype = np.complex64 if rows > _COMPLEX64_THRESHOLD else np.complex128
-    out = np.empty((rows, cols.size), dtype=dtype)
+    out = np.empty((cols.size, rows), dtype=dtype)
     step = max(1, (1 << 21) // dft_samples)
     for lo in range(0, rows, step):
         vals = _values_matrix(cands[lo : lo + step], n)
-        out[lo : lo + step] = _hall_matrix(vals, dft_samples)[:, cols]
-    return np.ascontiguousarray(out.T) if point_major else out
+        out[:, lo : lo + step] = _hall_matrix(vals, dft_samples)[:, cols].T
+    return out
 
 
 def half_scaled_sums(cands):
@@ -318,22 +318,63 @@ def half_scaled_sums(cands):
     return out
 
 
-def stage1_filter(joined, table, schedule, hall_even=None, hall_odd=None):
-    """Accept a joined candidate: spectral sweep plus entry-sum test.
+def _count_slices(dft_samples):
+    """One slice of the progressive point axis per sample count, coarsest first."""
+    counts = [m for m, _ in progressive_points(dft_samples)]
+    starts = [k for k in range(len(counts)) if k == 0 or counts[k] != counts[k - 1]]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(counts)])]
 
-    hall_even / hall_odd, when given, are the halves' finest-grid spectra
-    restricted to the progressive points (as half_hall_columns builds with
-    point_major=False); otherwise they are computed here from the halves
-    of `joined`.  The verdict is identical either way.
+
+class HalfJoin:
+    """The stage-1 join of every even half with every odd half.
+
+    Construction computes both halves' spectra at the progressive points and
+    their scaled entry sums, once; sweep() then tests joins against them,
+    one span of odd halves at a time.  A joined candidate survives when its
+    four scaled entry sums pass the squares table and its sampled |h|^2
+    stays within 2n + epsilon at every point of the schedule.  Halves' values
+    add, so a join's spectrum is the sum of two table columns.
     """
-    n = len(joined)
-    dft_samples = schedule.stages[-1][0]
-    if hall_even is None or hall_odd is None:
-        even, odd = core.split_even_odd(joined)
-        hall_even = half_hall_columns([even], n, dft_samples, point_major=False)[0]
-        hall_odd = half_hall_columns([odd], n, dft_samples, point_major=False)[0]
-    if not sos_filter(joined, table):
-        return False
-    h = np.asarray(hall_even, dtype=np.complex128) + np.asarray(hall_odd, dtype=np.complex128)
-    mag = h.real**2 + h.imag**2
-    return bool(mag.max() <= 2 * n + schedule.epsilon)
+
+    def __init__(self, n, evens, odds, schedule):
+        if n == 1:
+            # no odd slots: the lone candidate is all even half
+            odds = [(None,)]
+        dft_samples = schedule.stages[-1][0]
+        self._evens = evens
+        self._odds = odds
+        self._solvable = build_squares_table(n).solvable
+        self._bound = 2 * n + schedule.epsilon
+        self._slices = _count_slices(dft_samples)
+        self._e_cols = half_hall_columns(evens, n, dft_samples)
+        self._e_sums = half_scaled_sums(evens).astype(np.int32)
+        self._o_cols = half_hall_columns(odds, n, dft_samples)
+        self._o_sums = half_scaled_sums(odds).astype(np.int32)
+
+    @property
+    def odd_count(self):
+        """Length of the odd axis that sweep() spans index."""
+        return len(self._odds)
+
+    def sweep(self, lo, hi):
+        """Surviving joined candidates for odds[lo:hi], sorted."""
+        e_cols, o_cols = self._e_cols, self._o_cols
+        survivors = []
+        for o in range(lo, hi):
+            sums = self._e_sums + self._o_sums[o]
+            alive = np.nonzero(
+                self._solvable[np.abs(sums[:, :, 0]), np.abs(sums[:, :, 1])].all(axis=1)
+            )[0]
+            for sl in self._slices:
+                if not alive.size:
+                    break
+                h = e_cols[sl, alive] + o_cols[sl, o : o + 1]
+                mag = h.real**2 + h.imag**2
+                alive = alive[(mag <= self._bound).all(axis=0)]
+            odd_half = self._odds[o]
+            for e in alive:
+                survivors.append(
+                    tuple(a if a is not None else b for a, b in zip(self._evens[e], odd_half))
+                )
+        survivors.sort()
+        return survivors

@@ -7,28 +7,29 @@ interrupted or repeated invocation picks up whatever already exists:
    that survive the spectral bound on their own (files L_even/L_odd);
 2. stage 1 -- join every even half with every odd half and keep joins that
    pass the exact entry-sum solvability test and the progressive spectral
-   sweep (file L_A).  The even axis is vectorized; the odd axis is the
-   work loop, and shards split it into contiguous chunks;
+   sweep (file L_A).  filters.HalfJoin builds the half tables once, before
+   any worker forks; the odd axis is the work loop, and shards and worker
+   chunks split it into contiguous spans that only sweep;
 3. stage 2 -- for each surviving first member, enumerate all partners with
    the programmatic solver (file pairs).
 
 All persisted lists are sorted, so outputs are byte-reproducible and the
-union of shard outputs equals the unsharded output.  Writes go through a
-temp file and os.replace; run metadata (configuration fingerprint plus CPU
-seconds per completed stage) lives in a small JSON file next to the
-artifacts and gates reuse: artifacts from a different configuration are
-recomputed, not trusted.
+union of shard outputs equals the unsharded output.  Each write goes
+through a temp file of its own and os.replace, so writers sharing an
+output directory never move each other's files.  Run metadata (the
+configuration fingerprint and the completed stages) lives in a small JSON
+file next to the artifacts and gates reuse: artifacts from a different
+configuration are recomputed, not trusted.  No artifact records timings,
+so a rerun reproduces every file byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import core, encoding, filters
 
@@ -99,11 +100,24 @@ class RunConfig:
 # artifact I/O
 
 
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path, text):
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            # mkstemp creates the file private; artifacts get the usual mode
+            os.fchmod(f.fileno(), 0o666 & ~_umask())
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_candidates(path, cands):
@@ -138,28 +152,28 @@ def read_pairs(path):
 
 
 class _Meta:
-    """Stage bookkeeping: which stages completed, at what CPU cost."""
+    """Stage bookkeeping: which stages completed under this configuration."""
 
     def __init__(self, cfg):
         self.path = cfg.path_meta()
         self.fingerprint = cfg.fingerprint()
-        self.stages = {}
+        self.stages = set()
         try:
             data = json.loads(self.path.read_text())
         except (OSError, ValueError):
             return
         if data.get("fingerprint") == self.fingerprint:
-            self.stages = data.get("stages", {})
+            self.stages = set(data.get("stages", ()))
 
     def done(self, stage):
         return stage in self.stages
 
-    def mark(self, stage, cpu_seconds):
-        self.stages[stage] = round(cpu_seconds, 3)
+    def mark(self, stage):
+        self.stages.add(stage)
         _write_atomic(
             self.path,
             json.dumps(
-                {"fingerprint": self.fingerprint, "stages": self.stages},
+                {"fingerprint": self.fingerprint, "stages": sorted(self.stages)},
                 indent=1,
                 sort_keys=True,
             )
@@ -168,7 +182,7 @@ class _Meta:
 
 
 # ---------------------------------------------------------------------------
-# stage 1: join filtering, vectorized along the even axis
+# sharding
 
 
 def shard_span(total, shards, shard_index):
@@ -178,53 +192,6 @@ def shard_span(total, shards, shard_index):
     return lo, hi
 
 
-def _stage_spans(schedule):
-    """(start, end) slices of the progressive point axis, one per stage."""
-    spans = []
-    start = 0
-    for count, _ in schedule.stages:
-        spans.append((start, start + count // 2))
-        start += count // 2
-    return spans
-
-
-def _join_halves_shard(n, evens, odds, table, schedule, span):
-    """Surviving joined candidates for odds[span], sorted by text form."""
-    lo, hi = span
-    if not evens or lo >= hi:
-        return []
-    e_cols = filters.half_hall_columns(evens, n, schedule.stages[-1][0])
-    e_sums = filters.half_scaled_sums(evens).astype(np.int32)
-    o_cols = filters.half_hall_columns(odds, n, schedule.stages[-1][0])
-    o_sums = filters.half_scaled_sums(odds).astype(np.int32)
-    solvable = table.solvable
-    bound = 2 * n + schedule.epsilon
-    spans = _stage_spans(schedule)
-
-    survivors = []
-    for o in range(lo, hi):
-        sums = e_sums + o_sums[o]
-        alive = np.nonzero(
-            solvable[np.abs(sums[:, :, 0]), np.abs(sums[:, :, 1])].all(axis=1)
-        )[0]
-        for s0, s1 in spans:
-            if not alive.size:
-                break
-            h = e_cols[s0:s1, alive] + o_cols[s0:s1, o : o + 1]
-            mag = h.real**2 + h.imag**2
-            alive = alive[(mag <= bound).all(axis=0)]
-        odd_half = odds[o]
-        for e in alive:
-            even_half = evens[e]
-            survivors.append(
-                tuple(
-                    a if a is not None else b for a, b in zip(even_half, odd_half)
-                )
-            )
-    survivors.sort()
-    return survivors
-
-
 # ---------------------------------------------------------------------------
 # worker plumbing (fork-inherited state, deterministic chunk merge)
 
@@ -232,10 +199,7 @@ _WORK = {}
 
 
 def _stage1_worker(span):
-    w = _WORK
-    return _join_halves_shard(
-        w["n"], w["evens"], w["odds"], w["table"], w["schedule"], span
-    )
+    return _WORK["join"].sweep(*span)
 
 
 def _stage2_worker(span):
@@ -282,13 +246,12 @@ def run_preprocessing(cfg, meta=None):
     meta = meta or _Meta(cfg)
     if meta.done("halves") and cfg.path_even().exists() and cfg.path_odd().exists():
         return read_candidates(cfg.path_even()), read_candidates(cfg.path_odd())
-    t0 = time.process_time()
     schedule = filters.preprocessing_schedule(cfg.n, cfg.dft_pre, cfg.epsilon)
     evens = filters.enumerate_half_candidates(cfg.n, "even", schedule)
     odds = filters.enumerate_half_candidates(cfg.n, "odd", schedule)
     write_candidates(cfg.path_even(), evens)
     write_candidates(cfg.path_odd(), odds)
-    meta.mark("halves", time.process_time() - t0)
+    meta.mark("halves")
     return evens, odds
 
 
@@ -297,28 +260,16 @@ def run_stage1(cfg, evens, odds, meta=None):
     meta = meta or _Meta(cfg)
     if meta.done("stage1") and cfg.path_survivors().exists():
         return read_candidates(cfg.path_survivors())
-    t0 = time.process_time()
-    if not odds and cfg.n != 1:
-        survivors = []
-    else:
-        # a length-1 candidate is all even half; join against a blank mask
-        work_odds = odds if odds else [(None,) * cfg.n]
-        table = filters.build_squares_table(cfg.n)
-        schedule = filters.stage1_schedule(cfg.dft_stage1, cfg.epsilon)
-        lo, hi = shard_span(len(work_odds), cfg.shards, cfg.shard_index)
-        global _WORK
-        _WORK = {
-            "n": cfg.n,
-            "evens": evens,
-            "odds": work_odds,
-            "table": table,
-            "schedule": schedule,
-        }
-        survivors = _run_chunked(_stage1_worker, lo, hi, cfg.workers)
-        _WORK = {}
-        survivors.sort()
+    schedule = filters.stage1_schedule(cfg.dft_stage1, cfg.epsilon)
+    join = filters.HalfJoin(cfg.n, evens, odds, schedule)
+    lo, hi = shard_span(join.odd_count, cfg.shards, cfg.shard_index)
+    global _WORK
+    _WORK = {"join": join}
+    survivors = _run_chunked(_stage1_worker, lo, hi, cfg.workers)
+    _WORK = {}
+    survivors.sort()
     write_candidates(cfg.path_survivors(), survivors)
-    meta.mark("stage1", time.process_time() - t0)
+    meta.mark("stage1")
     return survivors
 
 
@@ -327,26 +278,23 @@ def run_stage2(cfg, survivors, meta=None):
     meta = meta or _Meta(cfg)
     if meta.done("stage2") and cfg.path_pairs().exists():
         return read_pairs(cfg.path_pairs())
-    t0 = time.process_time()
     global _WORK
     _WORK = {"survivors": survivors}
     pairs = _run_chunked(_stage2_worker, 0, len(survivors), cfg.workers)
     _WORK = {}
     pairs.sort()
     write_pairs(cfg.path_pairs(), cfg.n, pairs)
-    meta.mark("stage2", time.process_time() - t0)
+    meta.mark("stage2")
     return pairs
 
 
-def _render_report(cfg, meta, counts):
+def _render_report(cfg, counts):
     lines = [
         f"n={cfg.n}",
         f"L_even={counts['evens']}",
         f"L_odd={counts['odds']}",
         f"L_A={counts['survivors']}",
         f"pairs_normalized={counts['pairs']}",
-        f"cpu_seconds_stage1={meta.stages.get('stage1', 0.0)}",
-        f"cpu_seconds_stage2={meta.stages.get('stage2', 0.0)}",
     ]
     return "".join(line + "\n" for line in lines)
 
@@ -363,5 +311,5 @@ def enumerate_pairs(cfg):
         "survivors": len(survivors),
         "pairs": len(pairs),
     }
-    _write_atomic(cfg.path_report(), _render_report(cfg, meta, counts))
+    _write_atomic(cfg.path_report(), _render_report(cfg, counts))
     return pairs

@@ -67,7 +67,7 @@ class Solver:
         self._val = [-1] * num_vars  # -1 unassigned, 0 false, 1 true
         self._pos = [-1] * num_vars  # trail index per assigned variable
         self._watch = [[] for _ in range(2 * num_vars)]
-        self._static = []  # DIMACS tuples as added, for export/inspection
+        self._static = []  # DIMACS tuples as added, for inspection
         self._units = []  # internal literals of width-1 static clauses
         self._order = list(range(num_vars))
         self._qhead = 0
@@ -114,13 +114,6 @@ class Solver:
 
     def static_clauses(self):
         return tuple(self._static)
-
-    def to_dimacs(self):
-        """The static clause skeleton in DIMACS CNF format."""
-        lines = [f"p cnf {self.num_vars} {len(self._static)}"]
-        for cl in self._static:
-            lines.append(" ".join(str(l) for l in cl) + " 0")
-        return "\n".join(lines) + "\n"
 
     # -- state inspection (used by callbacks and tests) ---------------------
 

@@ -15,6 +15,11 @@ def test_enumerate_writes_and_prints_report(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "n=3\n" in printed
     assert "pairs_normalized=2" in printed
+    # the report holds counts only; the run's CPU time is printed after it
+    last = printed.splitlines()[-1]
+    assert last.startswith("cpu_seconds=")
+    assert float(last.split("=", 1)[1]) >= 0.0
+    assert "cpu_seconds" not in (out / "report_n3.txt").read_text()
     assert (out / "pairs_n3.txt").read_text() == "3\t++-\t+i+\n3\t++-\t+j+\n"
 
 

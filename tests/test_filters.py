@@ -222,47 +222,25 @@ def test_half_candidates_edge_cases():
 JOINED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 3, 5: 5, 6: 14, 7: 12, 8: 36}
 
 
-def _all_joins(n):
-    sched = filters.preprocessing_schedule(n)
-    evens = filters.enumerate_half_candidates(n, "even", sched)
-    odds = filters.enumerate_half_candidates(n, "odd", sched) or [tuple([None] * n)]
-    return [(e, o) for o in odds for e in evens]
-
-
-def test_stage1_survivor_counts_frozen():
-    s1 = filters.stage1_schedule()
-    for n, expect in JOINED_COUNTS.items():
-        tab = filters.build_squares_table(n)
-        got = sum(
-            filters.stage1_filter(core.join_halves(e, o), tab, s1)
-            for e, o in _all_joins(n)
-        )
-        assert got == expect, f"n={n}"
-
-
-def test_stage1_filter_cached_and_direct_agree():
-    n = 5
-    s1 = filters.stage1_schedule()
-    tab = filters.build_squares_table(n)
+def _join_all(n):
+    """Every stage-1 survivor of length n: all odd halves swept at once."""
     sched = filters.preprocessing_schedule(n)
     evens = filters.enumerate_half_candidates(n, "even", sched)
     odds = filters.enumerate_half_candidates(n, "odd", sched)
-    he = filters.half_hall_columns(evens, n, 128, point_major=False)
-    ho = filters.half_hall_columns(odds, n, 128, point_major=False)
-    for oi, o in enumerate(odds):
-        for ei, e in enumerate(evens):
-            joined = core.join_halves(e, o)
-            direct = filters.stage1_filter(joined, tab, s1)
-            cached = filters.stage1_filter(joined, tab, s1, he[ei], ho[oi])
-            assert direct == cached
+    join = filters.HalfJoin(n, evens, odds, filters.stage1_schedule())
+    return join.sweep(0, join.odd_count)
+
+
+def test_stage1_survivor_counts_frozen():
+    for n, expect in JOINED_COUNTS.items():
+        assert len(_join_all(n)) == expect, f"n={n}"
 
 
 def test_stage1_filter_accepts_pair_members():
-    s1 = filters.stage1_schedule()
     for n in range(1, 6):
-        tab = filters.build_squares_table(n)
+        survivors = set(_join_all(n))
         for a, _ in oracle.normalized_pairs(n):
-            assert filters.stage1_filter(a, tab, s1)
+            assert a in survivors
 
 
 def test_half_hall_columns_match_single_spectra():

