@@ -106,6 +106,31 @@ def test_find_partners_matches_oracle(n):
         assert find_partners(a) == expected.get(a, [])
 
 
+def _solve(solver, enc, callback):
+    return sorted(decode_assignment(enc, s) for s in solver.solve_all(callback))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stateless_and_incremental_agree(n):
+    for a in all_normalized_firsts(n):
+        solver, enc = build_instance(a)
+        stateless = lambda s: golay_callback(enc, s.assignment())
+        assert _solve(solver, enc, stateless) == find_partners(a)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_parity_clauses_only_prune(n):
+    # the same instance with only the leading-entry units kept
+    for a in all_normalized_firsts(n):
+        full, enc = build_instance(a)
+        bare = progsat.Solver(full.num_vars)
+        for clause in full.static_clauses():
+            if len(clause) == 1:
+                bare.add_clause(clause)
+        bare.set_branch_order(full._order)
+        assert _solve(bare, enc, PartnerChecker(enc)) == find_partners(a)
+
+
 class _CrossCheck:
     """Run both callback forms on every consult and demand identical verdicts."""
 
