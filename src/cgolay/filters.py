@@ -4,8 +4,21 @@ Any member of a Golay pair of length n satisfies |h(z)|^2 <= 2n at every
 point of the unit circle, where h is the sequence's generating polynomial;
 the same bound holds separately for its even-index and odd-index halves,
 and the halves' values add: h = h_even + h_odd.  Sampling z over roots of
-unity turns the bound into a cheap batched-FFT rejection test, with a
-small epsilon absorbing float error so rejection is always sound.
+unity turns the bound into a rejection test.
+
+The half filter evaluates |h|^2 from the aperiodic autocorrelations c_s,
+not from a transform of the entries: at z = e^(it),
+
+    |h(z)|^2 = c_0 + 2 * sum_s (Re c_s * cos(s*t) + Im c_s * sin(s*t)).
+
+Every c_s is a small Gaussian integer, so float64 holds it exactly; one
+real matrix product with a cos/sin table evaluates a whole batch of rows,
+with work proportional to the shifts present, not to the sample grid.
+Shifts that vanish in every row are dropped (a half's odd shifts always
+do), and when the remaining shifts share a factor g the polynomial
+repeats after N/g of the N points, so only those are evaluated.  The
+float error is about 1e-14, far below the epsilon added to the bound, so
+rejection is always sound.
 
 A second, fully exact test works on entry sums: for a pair member, the
 real and imaginary parts (R, I) of the entry sum -- and of the entry sum
@@ -23,8 +36,10 @@ value is skipped.
 
 This module owns the stage-1 join and its layout of sample points
 (progressive_points).  HalfJoin builds the halves' spectra at those points
-and their scaled entry sums once per run, then sweeps spans of odd halves
-against every even half; the pipeline only hands out the spans.
+once per run.  It groups the halves by their four scaled entry sums and
+decides the entry-sum test once per pair of classes, so each join costs a
+table lookup before the spectral slices; sweeps then run over spans of odd
+halves against every even half, and the pipeline only hands out the spans.
 """
 
 from __future__ import annotations
@@ -103,20 +118,27 @@ class SpectrumProfile:
     values: np.ndarray = field(repr=False)
 
 
+def _exponent_matrix(cands, n):
+    """Entry exponents of (possibly masked) sequences, -1 in masked slots."""
+    rows = [[-1 if c is None else c for c in s] for s in cands]
+    return np.array(rows, dtype=np.int8).reshape(len(cands), n)
+
+
 def _values_matrix(cands, n):
     """Complex entry values of a list of (possibly masked) sequences."""
-    out = np.zeros((len(cands), n), dtype=np.complex128)
-    unit = np.array(core.ENTRY_VALUES)
-    for r, s in enumerate(cands):
-        for k, c in enumerate(s):
-            if c is not None:
-                out[r, k] = unit[c]
-    return out
+    # exponent -1 picks the trailing 0 of the lookup
+    return np.array(core.ENTRY_VALUES + (0,))[_exponent_matrix(cands, n)]
 
 
 def _hall_matrix(vals, sample_count):
     # rows of h(e^(2*pi*i*j/N)) for j = 0..N-1: the inverse FFT times N
-    # evaluates the polynomial with the +i sign convention
+    # evaluates the polynomial with the +i sign convention.  z^N = 1 at
+    # every point, so coefficients beyond N fold onto k mod N first
+    rows, n = vals.shape
+    if n > sample_count:
+        folded = np.zeros((rows, -(-n // sample_count) * sample_count), dtype=vals.dtype)
+        folded[:, :n] = vals
+        vals = folded.reshape(rows, -1, sample_count).sum(axis=1)
     return np.fft.ifft(vals, n=sample_count, axis=1) * sample_count
 
 
@@ -128,18 +150,54 @@ def spectrum(seq, sample_count):
     return SpectrumProfile(sample_count, row.real**2 + row.imag**2)
 
 
-def _stage_pass_mask(vals, bound, sample_count, odd_only):
-    """Row mask of candidates whose sampled |h|^2 never exceeds bound."""
-    rows = vals.shape[0]
-    out = np.ones(rows, dtype=bool)
-    # chunk the transform so huge sample counts stay inside ~32MB
-    step = max(1, (1 << 21) // sample_count)
+def _autocorrelations(vals):
+    """(c_0, shifts, coef) of every row's aperiodic autocorrelation c_s.
+
+    c_s = sum_k a_k * conj(a_(k+s)), the core.autocorr convention.  shifts
+    lists the s >= 1 where some row has c_s != 0; coef holds Re c_s for
+    those shifts, then Im c_s.  Entries are fourth roots of unity or 0, so
+    every value is a small integer and exact in float64.
+    """
+    rows, n = vals.shape
+    # complex64 holds the small integers exactly; chunk rows to bound temporaries
+    c = np.empty((rows, n), dtype=np.complex64)
+    step = 1 << 14
     for lo in range(0, rows, step):
-        spec = _hall_matrix(vals[lo : lo + step], sample_count)
-        mag = spec.real**2 + spec.imag**2
-        if odd_only:
-            mag = mag[:, 1::2]
-        out[lo : lo + step] = mag.max(axis=1) <= bound
+        v = vals[lo : lo + step]
+        for s in range(n):
+            c[lo : lo + step, s] = (v[:, : n - s] * v[:, s:].conj()).sum(axis=1)
+    shifts = np.nonzero((c[:, 1:] != 0).any(axis=0))[0] + 1
+    coef = np.concatenate([c[:, shifts].real, c[:, shifts].imag], axis=1)
+    return c[:, 0].real.astype(np.float64), shifts, coef.astype(np.float64)
+
+
+def _power_table(shifts, sample_count, odd_only):
+    """cos/sin rows, one per shift, at the distinct points a stage must visit.
+
+    Point j stands for z = e^(2*pi*i*j/N).  With every shift a multiple of
+    g the polynomial has period N / gcd(g, N) in j, so points are reduced
+    modulo that period and evaluated once.
+    """
+    points = np.arange(1 if odd_only else 0, sample_count, 2 if odd_only else 1)
+    period = sample_count // math.gcd(sample_count, *shifts.tolist())
+    points = np.unique(points % period)
+    # reduce s*j mod N in integers so every angle lies in [0, 2*pi)
+    angle = (2 * np.pi / sample_count) * ((shifts[:, None] * points[None, :]) % sample_count)
+    return np.concatenate([np.cos(angle), np.sin(angle)])
+
+
+def _stage_pass_mask(c0, shifts, coef, bound, sample_count, odd_only):
+    """Row mask of candidates whose sampled |h|^2 never exceeds bound.
+
+    Takes the rows' _autocorrelations; |h|^2 = c_0 + 2 * (coef @ table).
+    """
+    table = _power_table(shifts, sample_count, odd_only)
+    out = np.empty(coef.shape[0], dtype=bool)
+    # chunk the rows so the product stays inside 2^21 elements (~16MB)
+    step = max(1, (1 << 21) // table.shape[1])
+    for lo in range(0, coef.shape[0], step):
+        peak = (coef[lo : lo + step] @ table).max(axis=1)
+        out[lo : lo + step] = c0[lo : lo + step] + 2 * peak <= bound
     return out
 
 
@@ -149,10 +207,10 @@ def passes_hall_filter(seq, n, schedule):
     Sound for pair membership: a rejected sequence can belong to no Golay
     pair of length n, whether seq is a full sequence or a masked half.
     """
-    vals = _values_matrix([seq], len(seq))
+    c0, shifts, coef = _autocorrelations(_values_matrix([seq], len(seq)))
     bound = 2 * n + schedule.epsilon
     for sample_count, odd_only in schedule.stages:
-        if not _stage_pass_mask(vals, bound, sample_count, odd_only)[0]:
+        if not _stage_pass_mask(c0, shifts, coef, bound, sample_count, odd_only)[0]:
             return False
     return True
 
@@ -269,11 +327,11 @@ def enumerate_half_candidates(n, parity, schedule):
     if not slots:
         return []
     exps = _mixed_radix_matrix(_slot_choices(slots, parity))
-    vals = _half_value_matrix(exps, slots, n)
+    c0, shifts, coef = _autocorrelations(_half_value_matrix(exps, slots, n))
     bound = 2 * n + schedule.epsilon
     alive = np.arange(exps.shape[0])
     for sample_count, odd_only in schedule.stages:
-        keep = _stage_pass_mask(vals[alive], bound, sample_count, odd_only)
+        keep = _stage_pass_mask(c0[alive], shifts, coef[alive], bound, sample_count, odd_only)
         alive = alive[keep]
         if alive.size == 0:
             break
@@ -310,11 +368,16 @@ def half_hall_columns(cands, n, dft_samples):
 
 def half_scaled_sums(cands):
     """scaled_entry_sums for a whole candidate list, as an int array."""
+    n = len(cands[0]) if cands else 0
+    exps = _exponent_matrix(cands, n).astype(np.int16)
+    live = exps >= 0
+    ramp = np.arange(n, dtype=np.int16)
+    entry_re, entry_im = np.array(core.ENTRY_RE), np.array(core.ENTRY_IM)
     out = np.empty((len(cands), 4, 2), dtype=np.int16)
-    for r, s in enumerate(cands):
-        for k, (re, im) in enumerate(scaled_entry_sums(s)):
-            out[r, k, 0] = re
-            out[r, k, 1] = im
+    for k in range(4):
+        e = (exps + k * ramp) & 3
+        out[:, k, 0] = (entry_re[e] * live).sum(axis=1)
+        out[:, k, 1] = (entry_im[e] * live).sum(axis=1)
     return out
 
 
@@ -325,56 +388,99 @@ def _count_slices(dft_samples):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(counts)])]
 
 
-class HalfJoin:
-    """The stage-1 join of every even half with every odd half.
+# joins per spectral batch of one sum class: even the 64-point slice of
+# 2^14 joins keeps its temporaries near 16MB
+_JOIN_BATCH = 1 << 14
 
-    Construction computes both halves' spectra at the progressive points and
-    their scaled entry sums, once; sweep() then tests joins against them,
-    one span of odd halves at a time.  A joined candidate survives when its
-    four scaled entry sums pass the squares table and its sampled |h|^2
-    stays within 2n + epsilon at every point of the schedule.  Halves' values
-    add, so a join's spectrum is the sum of two table columns.
+
+def join_odds(n, odds):
+    """The odd axis of the stage-1 join: length 1 has one blank odd half."""
+    return [(None,)] if n == 1 else odds
+
+
+def _sum_classes(cands):
+    """Distinct scaled entry sums of cands, shape (classes, 4, 2), and each row's class."""
+    sums = half_scaled_sums(cands).astype(np.int32).reshape(len(cands), 8)
+    keys, inverse = np.unique(sums, axis=0, return_inverse=True)
+    return keys.reshape(-1, 4, 2), inverse.reshape(-1)
+
+
+class HalfJoin:
+    """The stage-1 join of every even half with the given odd halves.
+
+    Construction computes both halves' spectra at the progressive points,
+    once.  It also groups each side by its four scaled entry sums and
+    decides the squares-table test once per (odd class, even class) pair:
+    a join's scaled sums are the sum of its halves', so the verdict depends
+    on the classes alone.  sweep() then tests joins one span of odd halves
+    at a time.  A joined candidate survives when its four scaled entry sums
+    pass the squares table and its sampled |h|^2 stays within 2n + epsilon
+    at every point of the schedule.  Halves' values add, so a join's
+    spectrum is the sum of two table columns.
+
+    odds may be any span of join_odds(n, all_odds), such as one shard's;
+    only that span is tabulated.
     """
 
     def __init__(self, n, evens, odds, schedule):
-        if n == 1:
-            # no odd slots: the lone candidate is all even half
-            odds = [(None,)]
         dft_samples = schedule.stages[-1][0]
         self._evens = evens
         self._odds = odds
-        self._solvable = build_squares_table(n).solvable
         self._bound = 2 * n + schedule.epsilon
         self._slices = _count_slices(dft_samples)
         self._e_cols = half_hall_columns(evens, n, dft_samples)
-        self._e_sums = half_scaled_sums(evens).astype(np.int32)
         self._o_cols = half_hall_columns(odds, n, dft_samples)
-        self._o_sums = half_scaled_sums(odds).astype(np.int32)
+        e_keys, self._e_class = _sum_classes(evens)
+        o_keys, self._o_class = _sum_classes(odds)
+        sums = np.abs(o_keys[:, None] + e_keys[None, :])
+        solvable = build_squares_table(n).solvable
+        self._sums_ok = solvable[sums[..., 0], sums[..., 1]].all(axis=2)
 
     @property
     def odd_count(self):
         """Length of the odd axis that sweep() spans index."""
         return len(self._odds)
 
+    def _within_bound(self, sl, e, o):
+        """Whether joins of evens e with odds o keep |h|^2 in bound on slice sl.
+
+        e and o are index arrays that broadcast against each other.
+        """
+        h = self._e_cols[sl][:, e] + self._o_cols[sl][:, o]
+        return (h.real**2 + h.imag**2 <= self._bound).all(axis=0)
+
     def sweep(self, lo, hi):
-        """Surviving joined candidates for odds[lo:hi], sorted."""
-        e_cols, o_cols = self._e_cols, self._o_cols
+        """Surviving joined candidates for odds[lo:hi], sorted.
+
+        The span's odds are grouped by entry-sum class.  Each class gathers
+        the evens its squares-table row admits once; the first spectral
+        slice tests all of the class's joins as an evens x odds grid, in
+        batches, and the later slices test the joins still alive.
+        """
+        span = np.arange(lo, hi)
+        span = span[np.argsort(self._o_class[span], kind="stable")]
+        cuts = np.flatnonzero(np.diff(self._o_class[span])) + 1
+        first, rest = self._slices[0], self._slices[1:]
         survivors = []
-        for o in range(lo, hi):
-            sums = self._e_sums + self._o_sums[o]
-            alive = np.nonzero(
-                self._solvable[np.abs(sums[:, :, 0]), np.abs(sums[:, :, 1])].all(axis=1)
-            )[0]
-            for sl in self._slices:
-                if not alive.size:
-                    break
-                h = e_cols[sl, alive] + o_cols[sl, o : o + 1]
-                mag = h.real**2 + h.imag**2
-                alive = alive[(mag <= self._bound).all(axis=0)]
-            odd_half = self._odds[o]
-            for e in alive:
-                survivors.append(
-                    tuple(a if a is not None else b for a, b in zip(self._evens[e], odd_half))
-                )
+        for group in np.split(span, cuts):
+            if not group.size:
+                continue
+            evens = np.flatnonzero(self._sums_ok[self._o_class[group[0]]][self._e_class])
+            if not evens.size:
+                continue
+            step = max(1, _JOIN_BATCH // evens.size)
+            for k in range(0, group.size, step):
+                odds = group[k : k + step]
+                ei, oi = np.nonzero(self._within_bound(first, evens[:, None], odds[None, :]))
+                e, o = evens[ei], odds[oi]
+                for sl in rest:
+                    if not e.size:
+                        break
+                    keep = self._within_bound(sl, e, o)
+                    e, o = e[keep], o[keep]
+                for a, b in zip(e.tolist(), o.tolist()):
+                    survivors.append(
+                        tuple(x if x is not None else y for x, y in zip(self._evens[a], self._odds[b]))
+                    )
         survivors.sort()
         return survivors

@@ -4,12 +4,14 @@ A run for length n proceeds in three stages, each persisted to disk so an
 interrupted or repeated invocation picks up whatever already exists:
 
 1. preprocessing -- enumerate the even-index and odd-index half candidates
-   that survive the spectral bound on their own (files L_even/L_odd);
+   that survive the spectral bound on their own (files L_even/L_odd).  The
+   lists are the same for every shard, so shards sharing a directory
+   compute them once;
 2. stage 1 -- join every even half with every odd half and keep joins that
    pass the exact entry-sum solvability test and the progressive spectral
-   sweep (file L_A).  filters.HalfJoin builds the half tables once, before
-   any worker forks; the odd axis is the work loop, and shards and worker
-   chunks split it into contiguous spans that only sweep;
+   sweep (file L_A).  The odd axis is the work loop: a shard takes one
+   contiguous span of it, filters.HalfJoin builds the half tables for that
+   span once, before any worker forks, and worker chunks only sweep;
 3. stage 2 -- for each surviving first member, enumerate all partners with
    the programmatic solver (file pairs).
 
@@ -72,6 +74,15 @@ class RunConfig:
             "epsilon": self.epsilon,
         }
 
+    def halves_fingerprint(self):
+        """What the half lists depend on: shared by every shard and run."""
+        return {
+            "kind": _META_KIND + "-halves",
+            "n": self.n,
+            "dft_pre": self.dft_pre,
+            "epsilon": self.epsilon,
+        }
+
     def _suffix(self):
         if self.shards == 1:
             return ""
@@ -94,6 +105,9 @@ class RunConfig:
 
     def path_meta(self):
         return self.out_dir / f"meta_n{self.n}{self._suffix()}.json"
+
+    def path_halves_meta(self):
+        return self.out_dir / f"meta_n{self.n}.halves.json"
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +166,11 @@ def read_pairs(path):
 
 
 class _Meta:
-    """Stage bookkeeping: which stages completed under this configuration."""
+    """Stage bookkeeping: which stages completed under one fingerprint."""
 
-    def __init__(self, cfg):
-        self.path = cfg.path_meta()
-        self.fingerprint = cfg.fingerprint()
+    def __init__(self, path, fingerprint):
+        self.path = path
+        self.fingerprint = fingerprint
         self.stages = set()
         try:
             data = json.loads(self.path.read_text())
@@ -241,31 +255,46 @@ def _run_chunked(worker, lo, hi, workers):
 # the three stages
 
 
+def _run_meta(cfg):
+    return _Meta(cfg.path_meta(), cfg.fingerprint())
+
+
 def run_preprocessing(cfg, meta=None):
-    """Half-candidate lists, computed or reloaded; always written to disk."""
-    meta = meta or _Meta(cfg)
-    if meta.done("halves") and cfg.path_even().exists() and cfg.path_odd().exists():
-        return read_candidates(cfg.path_even()), read_candidates(cfg.path_odd())
-    schedule = filters.preprocessing_schedule(cfg.n, cfg.dft_pre, cfg.epsilon)
-    evens = filters.enumerate_half_candidates(cfg.n, "even", schedule)
-    odds = filters.enumerate_half_candidates(cfg.n, "odd", schedule)
-    write_candidates(cfg.path_even(), evens)
-    write_candidates(cfg.path_odd(), odds)
-    meta.mark("halves")
+    """Half-candidate lists, computed or reloaded; always written to disk.
+
+    The lists depend only on n, dft_pre and epsilon, so their completion is
+    recorded under that fingerprint in a file that every shard and the
+    unsharded run of the directory share: whichever runs first computes
+    them, the others reload them.
+    """
+    meta = meta or _run_meta(cfg)
+    shared = _Meta(cfg.path_halves_meta(), cfg.halves_fingerprint())
+    if shared.done("halves") and cfg.path_even().exists() and cfg.path_odd().exists():
+        evens, odds = read_candidates(cfg.path_even()), read_candidates(cfg.path_odd())
+    else:
+        schedule = filters.preprocessing_schedule(cfg.n, cfg.dft_pre, cfg.epsilon)
+        evens = filters.enumerate_half_candidates(cfg.n, "even", schedule)
+        odds = filters.enumerate_half_candidates(cfg.n, "odd", schedule)
+        write_candidates(cfg.path_even(), evens)
+        write_candidates(cfg.path_odd(), odds)
+        shared.mark("halves")
+    if not meta.done("halves"):
+        meta.mark("halves")
     return evens, odds
 
 
 def run_stage1(cfg, evens, odds, meta=None):
     """First members surviving the join filters, for this shard of the odds."""
-    meta = meta or _Meta(cfg)
+    meta = meta or _run_meta(cfg)
     if meta.done("stage1") and cfg.path_survivors().exists():
         return read_candidates(cfg.path_survivors())
     schedule = filters.stage1_schedule(cfg.dft_stage1, cfg.epsilon)
-    join = filters.HalfJoin(cfg.n, evens, odds, schedule)
-    lo, hi = shard_span(join.odd_count, cfg.shards, cfg.shard_index)
+    odds = filters.join_odds(cfg.n, odds)
+    lo, hi = shard_span(len(odds), cfg.shards, cfg.shard_index)
+    join = filters.HalfJoin(cfg.n, evens, odds[lo:hi], schedule)
     global _WORK
     _WORK = {"join": join}
-    survivors = _run_chunked(_stage1_worker, lo, hi, cfg.workers)
+    survivors = _run_chunked(_stage1_worker, 0, join.odd_count, cfg.workers)
     _WORK = {}
     survivors.sort()
     write_candidates(cfg.path_survivors(), survivors)
@@ -275,7 +304,7 @@ def run_stage1(cfg, evens, odds, meta=None):
 
 def run_stage2(cfg, survivors, meta=None):
     """All normalized pairs whose first member is in the survivor list."""
-    meta = meta or _Meta(cfg)
+    meta = meta or _run_meta(cfg)
     if meta.done("stage2") and cfg.path_pairs().exists():
         return read_pairs(cfg.path_pairs())
     global _WORK
@@ -301,7 +330,7 @@ def _render_report(cfg, counts):
 
 def enumerate_pairs(cfg):
     """Run (or resume) the whole pipeline; returns the normalized pairs."""
-    meta = _Meta(cfg)
+    meta = _run_meta(cfg)
     evens, odds = run_preprocessing(cfg, meta)
     survivors = run_stage1(cfg, evens, odds, meta)
     pairs = run_stage2(cfg, survivors, meta)

@@ -1,11 +1,13 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cgolay import core, filters, oracle
+from cgolay import core, filters, oracle, pipeline
+from expected_counts import CANDIDATE_COUNTS
 
 masked_seqs = st.lists(
     st.one_of(st.none(), st.integers(0, 3)), min_size=1, max_size=10
@@ -91,16 +93,51 @@ def test_spectrum_matches_direct_evaluation(seq):
 # spectral filter
 
 
-def test_hall_filter_accepts_pair_members():
-    for n in range(1, 6):
+def test_hall_filter_accepts_pair_members(tmp_path):
+    # length 10 exceeds the stage-1 schedule's first count of 8 points
+    pairs = {n: oracle.normalized_pairs(n) for n in range(1, 6)}
+    pairs[10] = pipeline.enumerate_pairs(pipeline.RunConfig(n=10, out_dir=tmp_path))
+    assert len(pairs[10]) == 152
+    for n, found in pairs.items():
         sched = filters.preprocessing_schedule(n)
         s1 = filters.stage1_schedule()
-        for a, b in oracle.normalized_pairs(n):
+        for a, b in found:
             for s in (a, b):
                 assert filters.passes_hall_filter(s, n, sched)
                 assert filters.passes_hall_filter(s, n, s1)
                 for half in core.split_even_odd(s):
                     assert filters.passes_hall_filter(half, n, sched)
+
+
+def _random_rows(rng, n, count):
+    """Full sequences and masked halves of length n, mixed."""
+    rows = []
+    for _ in range(count):
+        seq = [rng.randrange(4) for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind:  # an even (1) or odd (2) half
+            seq = [c if k % 2 == kind - 1 else None for k, c in enumerate(seq)]
+        rows.append(tuple(seq))
+    return rows
+
+
+def test_stage_pass_mask_matches_fft_reference():
+    rng = random.Random(20180515)
+    verdicts = set()
+    for n in range(1, 17):
+        rows = _random_rows(rng, n, 40)
+        acf = filters._autocorrelations(filters._values_matrix(rows, n))
+        for count, odd_only in ((n, False), (128, True), (2**14, False)):
+            for bound in (2 * n + 1e-3, n + 1e-3):
+                got = filters._stage_pass_mask(*acf, bound, count, odd_only)
+                peaks = []
+                for r in rows:
+                    mags = filters.spectrum(r, count).values
+                    peaks.append((mags[1::2] if odd_only else mags).max())
+                want = np.array(peaks) <= bound
+                assert np.array_equal(got, want), (n, count, bound)
+                verdicts.update(want.tolist())
+    assert verdicts == {True, False}
 
 
 def test_hall_filter_rejects_known_non_member():
@@ -174,6 +211,7 @@ HALF_COUNTS = {
     6: (12, 16),
     7: (39, 16),
     8: (48, 64),
+    **{n: CANDIDATE_COUNTS[n][:2] for n in range(9, 15)},
 }
 
 
@@ -219,15 +257,23 @@ def test_half_candidates_edge_cases():
 # stage-1 join filter
 
 
-JOINED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 3, 5: 5, 6: 14, 7: 12, 8: 36}
+JOINED_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 3, 5: 5, 6: 14, 7: 12, 8: 36,
+    **{n: CANDIDATE_COUNTS[n][2] for n in range(9, 15)},
+}
 
 
-def _join_all(n):
-    """Every stage-1 survivor of length n: all odd halves swept at once."""
+def _halves(n):
     sched = filters.preprocessing_schedule(n)
     evens = filters.enumerate_half_candidates(n, "even", sched)
     odds = filters.enumerate_half_candidates(n, "odd", sched)
-    join = filters.HalfJoin(n, evens, odds, filters.stage1_schedule())
+    return evens, filters.join_odds(n, odds)
+
+
+def _join_all(n, schedule=None):
+    """Every stage-1 survivor of length n: all odd halves swept at once."""
+    evens, odds = _halves(n)
+    join = filters.HalfJoin(n, evens, odds, schedule or filters.stage1_schedule())
     return join.sweep(0, join.odd_count)
 
 
@@ -241,6 +287,30 @@ def test_stage1_filter_accepts_pair_members():
         survivors = set(_join_all(n))
         for a, _ in oracle.normalized_pairs(n):
             assert a in survivors
+
+
+def test_half_join_equals_brute_force_composition():
+    sched = filters.stage1_schedule()
+    for n in range(1, 11):
+        table = filters.build_squares_table(n)
+        evens, odds = _halves(n)
+        joins = (core.join_halves(e, o) for e in evens for o in odds)
+        sums_ok = [a for a in joins if filters.sos_filter(a, table)]
+        brute = sorted(a for a in sums_ok if filters.passes_hall_filter(a, n, sched))
+        assert _join_all(n) == brute, f"n={n}"
+
+
+def test_half_hall_columns_on_a_grid_coarser_than_n():
+    # at 8 points a length-10 polynomial must fold (z^8 = 1), not truncate
+    n, count = 10, 8
+    evens, _ = _halves(n)
+    mat = filters.half_hall_columns(evens, n, count)
+    for p, (m, j) in enumerate(filters.progressive_points(count)):
+        z = complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
+        direct = np.array([core.hall_eval(c, z) for c in evens])
+        assert np.allclose(mat[p], direct, rtol=0, atol=1e-9)
+    # so the join on that grid keeps everything the default grid keeps
+    assert set(_join_all(n)) <= set(_join_all(n, filters.stage1_schedule(count)))
 
 
 def test_half_hall_columns_match_single_spectra():

@@ -130,6 +130,54 @@ def test_stage1_builds_the_half_tables_once(tmp_path, monkeypatch):
     assert len(survivors) == 14
 
 
+def test_shards_of_one_directory_share_the_half_lists(tmp_path, monkeypatch):
+    calls = []
+    original = filters.enumerate_half_candidates
+
+    def counting(n, parity, schedule):
+        calls.append(parity)
+        return original(n, parity, schedule)
+
+    monkeypatch.setattr(filters, "enumerate_half_candidates", counting)
+    out = run_dir(tmp_path, "n8")
+    for k in (1, 2, 3):
+        pipeline.enumerate_pairs(RunConfig(n=8, out_dir=out, shards=3, shard_index=k))
+    pipeline.enumerate_pairs(RunConfig(n=8, out_dir=out))
+    assert calls == ["even", "odd"]
+    # the half lists depend on dft_pre and epsilon: a change recomputes them
+    pipeline.enumerate_pairs(RunConfig(n=8, out_dir=out, dft_pre=2**12))
+    assert calls == ["even", "odd"] * 2
+
+
+def test_shards_tabulate_only_their_odd_span(tmp_path, monkeypatch):
+    rows = []
+    original = filters.half_hall_columns
+
+    def counting(cands, n, dft_samples):
+        rows.append(len(cands))
+        return original(cands, n, dft_samples)
+
+    monkeypatch.setattr(filters, "half_hall_columns", counting)
+    survivors = []
+    for k in (1, 2, 3):
+        cfg = RunConfig(n=8, out_dir=run_dir(tmp_path, "n8"), shards=3, shard_index=k)
+        evens, odds = pipeline.run_preprocessing(cfg)
+        survivors.extend(pipeline.run_stage1(cfg, evens, odds))
+    # calls alternate evens, odds; the odd spans partition the 64 odd halves
+    assert rows[0::2] == [48] * 3
+    assert sum(rows[1::2]) == 64
+    assert len(survivors) == 36
+
+
+def test_length_one_blank_odd_half_is_one_item_across_shards(tmp_path):
+    survivors = []
+    for k in (1, 2):
+        cfg = RunConfig(n=1, out_dir=run_dir(tmp_path, "n1"), shards=2, shard_index=k)
+        evens, odds = pipeline.run_preprocessing(cfg)
+        survivors.extend(pipeline.run_stage1(cfg, evens, odds))
+    assert survivors == [(0,)]
+
+
 def _write_repeatedly(path, text, seconds):
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
