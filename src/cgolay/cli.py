@@ -26,10 +26,8 @@ def _add_enumerate(sub):
     p.add_argument("--out", type=Path, default=Path("runs"), help="artifact directory")
     p.add_argument("--shards", type=int, default=1, help="total shard count")
     p.add_argument("--shard-index", type=int, default=1, help="1-based shard to run")
-    p.add_argument("--dft-pre", type=int, default=2**14, help="half-filter sample count")
-    p.add_argument("--dft-stage1", type=int, default=2**7, help="join-filter sample count")
-    p.add_argument("--epsilon", type=float, default=1e-3, help="spectral bound slack")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.set_defaults(parser=p)
 
 
 def _add_inputs(p):
@@ -62,16 +60,16 @@ def _cpu_seconds():
 
 
 def _cmd_enumerate(args):
-    cfg = pipeline.RunConfig(
-        n=args.n,
-        out_dir=args.out,
-        shards=args.shards,
-        shard_index=args.shard_index,
-        dft_pre=args.dft_pre,
-        dft_stage1=args.dft_stage1,
-        epsilon=args.epsilon,
-        workers=args.workers,
-    )
+    try:
+        cfg = pipeline.RunConfig(
+            n=args.n,
+            out_dir=args.out,
+            shards=args.shards,
+            shard_index=args.shard_index,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        args.parser.error(str(exc))
     t0 = _cpu_seconds()
     pipeline.enumerate_pairs(cfg)
     cpu = _cpu_seconds() - t0

@@ -29,7 +29,7 @@ table per |R|, |I|.
 Filter schedules list the sample counts to sweep, cheapest first.  The
 preprocessing schedule checks every root of unity at a coarse count n,
 then at a fine power of two.  The stage-1 schedule doubles from 8 up to
-the configured limit, checking only odd-numbered sample points: every
+its finest count, checking only odd-numbered sample points: every
 even point of one level already appeared at a coarser level, and the four
 points z = i^k are covered exactly by the entry-sum test, so nothing of
 value is skipped.

@@ -17,25 +17,24 @@ interrupted or repeated invocation picks up whatever already exists:
 
 All persisted lists are sorted, so outputs are byte-reproducible and the
 union of shard outputs equals the unsharded output.  Each write goes
-through a temp file of its own and os.replace, so writers sharing an
-output directory never move each other's files.  Run metadata (the
-configuration fingerprint and the completed stages) lives in a small JSON
-file next to the artifacts and gates reuse: artifacts from a different
-configuration are recomputed, not trusted.  No artifact records timings,
-so a rerun reproduces every file byte for byte.
+through a temp file of its own and os.replace, so an artifact is either
+absent or complete, and writers sharing an output directory never move
+each other's files.  A stage is therefore done exactly when its artifact
+exists: both half lists for preprocessing, L_A for stage 1, pairs for
+stage 2.  The filter settings are fixed in filters, and n and the shard
+are in every file name, so an existing artifact is always the one this
+run would write; deleting a file (or the directory) recomputes it.  No
+artifact records timings, so a rerun reproduces every file byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import core, encoding, filters
-
-_META_KIND = "cgolay-run"
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,6 @@ class RunConfig:
     out_dir: Path
     shards: int = 1
     shard_index: int = 1  # 1-based
-    dft_pre: int = 2**14
-    dft_stage1: int = 2**7
-    epsilon: float = 1e-3
     workers: int = 1
 
     def __post_init__(self):
@@ -59,29 +55,6 @@ class RunConfig:
             raise ValueError("shard index must lie in 1..shards")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
-        # the schedule constructors validate the sample counts and epsilon
-        filters.preprocessing_schedule(self.n, self.dft_pre, self.epsilon)
-        filters.stage1_schedule(self.dft_stage1, self.epsilon)
-
-    def fingerprint(self):
-        return {
-            "kind": _META_KIND,
-            "n": self.n,
-            "shards": self.shards,
-            "shard_index": self.shard_index,
-            "dft_pre": self.dft_pre,
-            "dft_stage1": self.dft_stage1,
-            "epsilon": self.epsilon,
-        }
-
-    def halves_fingerprint(self):
-        """What the half lists depend on: shared by every shard and run."""
-        return {
-            "kind": _META_KIND + "-halves",
-            "n": self.n,
-            "dft_pre": self.dft_pre,
-            "epsilon": self.epsilon,
-        }
 
     def _suffix(self):
         if self.shards == 1:
@@ -102,12 +75,6 @@ class RunConfig:
 
     def path_report(self):
         return self.out_dir / f"report_n{self.n}{self._suffix()}.txt"
-
-    def path_meta(self):
-        return self.out_dir / f"meta_n{self.n}{self._suffix()}.json"
-
-    def path_halves_meta(self):
-        return self.out_dir / f"meta_n{self.n}.halves.json"
 
 
 # ---------------------------------------------------------------------------
@@ -163,36 +130,6 @@ def write_pairs(path, n, pairs):
 
 def read_pairs(path):
     return [parse_pair_line(line) for line in path.read_text().splitlines()]
-
-
-class _Meta:
-    """Stage bookkeeping: which stages completed under one fingerprint."""
-
-    def __init__(self, path, fingerprint):
-        self.path = path
-        self.fingerprint = fingerprint
-        self.stages = set()
-        try:
-            data = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            return
-        if data.get("fingerprint") == self.fingerprint:
-            self.stages = set(data.get("stages", ()))
-
-    def done(self, stage):
-        return stage in self.stages
-
-    def mark(self, stage):
-        self.stages.add(stage)
-        _write_atomic(
-            self.path,
-            json.dumps(
-                {"fingerprint": self.fingerprint, "stages": sorted(self.stages)},
-                indent=1,
-                sort_keys=True,
-            )
-            + "\n",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -255,57 +192,42 @@ def _run_chunked(worker, lo, hi, workers):
 # the three stages
 
 
-def _run_meta(cfg):
-    return _Meta(cfg.path_meta(), cfg.fingerprint())
-
-
-def run_preprocessing(cfg, meta=None):
+def run_preprocessing(cfg):
     """Half-candidate lists, computed or reloaded; always written to disk.
 
-    The lists depend only on n, dft_pre and epsilon, so their completion is
-    recorded under that fingerprint in a file that every shard and the
-    unsharded run of the directory share: whichever runs first computes
-    them, the others reload them.
+    The lists depend only on n, so every shard and the unsharded run of a
+    directory share one pair of files: whichever runs first computes them,
+    the others reload them.
     """
-    meta = meta or _run_meta(cfg)
-    shared = _Meta(cfg.path_halves_meta(), cfg.halves_fingerprint())
-    if shared.done("halves") and cfg.path_even().exists() and cfg.path_odd().exists():
-        evens, odds = read_candidates(cfg.path_even()), read_candidates(cfg.path_odd())
-    else:
-        schedule = filters.preprocessing_schedule(cfg.n, cfg.dft_pre, cfg.epsilon)
-        evens = filters.enumerate_half_candidates(cfg.n, "even", schedule)
-        odds = filters.enumerate_half_candidates(cfg.n, "odd", schedule)
-        write_candidates(cfg.path_even(), evens)
-        write_candidates(cfg.path_odd(), odds)
-        shared.mark("halves")
-    if not meta.done("halves"):
-        meta.mark("halves")
+    if cfg.path_even().exists() and cfg.path_odd().exists():
+        return read_candidates(cfg.path_even()), read_candidates(cfg.path_odd())
+    schedule = filters.preprocessing_schedule(cfg.n)
+    evens = filters.enumerate_half_candidates(cfg.n, "even", schedule)
+    odds = filters.enumerate_half_candidates(cfg.n, "odd", schedule)
+    write_candidates(cfg.path_even(), evens)
+    write_candidates(cfg.path_odd(), odds)
     return evens, odds
 
 
-def run_stage1(cfg, evens, odds, meta=None):
+def run_stage1(cfg, evens, odds):
     """First members surviving the join filters, for this shard of the odds."""
-    meta = meta or _run_meta(cfg)
-    if meta.done("stage1") and cfg.path_survivors().exists():
+    if cfg.path_survivors().exists():
         return read_candidates(cfg.path_survivors())
-    schedule = filters.stage1_schedule(cfg.dft_stage1, cfg.epsilon)
     odds = filters.join_odds(cfg.n, odds)
     lo, hi = shard_span(len(odds), cfg.shards, cfg.shard_index)
-    join = filters.HalfJoin(cfg.n, evens, odds[lo:hi], schedule)
+    join = filters.HalfJoin(cfg.n, evens, odds[lo:hi], filters.stage1_schedule())
     global _WORK
     _WORK = {"join": join}
     survivors = _run_chunked(_stage1_worker, 0, join.odd_count, cfg.workers)
     _WORK = {}
     survivors.sort()
     write_candidates(cfg.path_survivors(), survivors)
-    meta.mark("stage1")
     return survivors
 
 
-def run_stage2(cfg, survivors, meta=None):
+def run_stage2(cfg, survivors):
     """All normalized pairs whose first member is in the survivor list."""
-    meta = meta or _run_meta(cfg)
-    if meta.done("stage2") and cfg.path_pairs().exists():
+    if cfg.path_pairs().exists():
         return read_pairs(cfg.path_pairs())
     global _WORK
     _WORK = {"survivors": survivors}
@@ -313,7 +235,6 @@ def run_stage2(cfg, survivors, meta=None):
     _WORK = {}
     pairs.sort()
     write_pairs(cfg.path_pairs(), cfg.n, pairs)
-    meta.mark("stage2")
     return pairs
 
 
@@ -330,10 +251,9 @@ def _render_report(cfg, counts):
 
 def enumerate_pairs(cfg):
     """Run (or resume) the whole pipeline; returns the normalized pairs."""
-    meta = _run_meta(cfg)
-    evens, odds = run_preprocessing(cfg, meta)
-    survivors = run_stage1(cfg, evens, odds, meta)
-    pairs = run_stage2(cfg, survivors, meta)
+    evens, odds = run_preprocessing(cfg)
+    survivors = run_stage1(cfg, evens, odds)
+    pairs = run_stage2(cfg, survivors)
     counts = {
         "evens": len(evens),
         "odds": len(odds),

@@ -111,10 +111,19 @@ ALTERNATE_FILTER_CONFIGS = (
 )
 
 
-def _soundness_gaps(n, cfg, truth):
-    survivors = set(pipeline.read_candidates(cfg.path_survivors()))
-    evens = set(pipeline.read_candidates(cfg.path_even()))
-    odds = set(pipeline.read_candidates(cfg.path_odd()))
+def _alternate_lists(n, dft_pre, dft_stage1, epsilon):
+    """Half lists and stage-1 survivors of length n under other filter settings."""
+    pre = filters.preprocessing_schedule(n, dft_pre, epsilon)
+    evens = filters.enumerate_half_candidates(n, "even", pre)
+    odds = filters.enumerate_half_candidates(n, "odd", pre)
+    join = filters.HalfJoin(
+        n, evens, filters.join_odds(n, odds), filters.stage1_schedule(dft_stage1, epsilon)
+    )
+    return evens, odds, join.sweep(0, join.odd_count)
+
+
+def _soundness_gaps(n, evens, odds, survivors, truth):
+    evens, odds, survivors = set(evens), set(odds), set(survivors)
     gaps = []
     for a in truth:
         even_half, odd_half = core.split_even_odd(a)
@@ -124,20 +133,20 @@ def _soundness_gaps(n, cfg, truth):
     return gaps
 
 
-def test_criterion_4_filters_never_drop_a_true_candidate(runs, tmp_path_factory):
-    alt_base = tmp_path_factory.mktemp("filter-configs")
+def test_criterion_4_filters_never_drop_a_true_candidate(runs):
     dropped = {}
     for n in range(1, 8):
         truth = {a for a, _ in oracle.normalized_pairs(n)}
-        gaps = _soundness_gaps(n, runs["per_n"][n]["cfg"], truth)
+        cfg = runs["per_n"][n]["cfg"]
+        lists = [
+            pipeline.read_candidates(path)
+            for path in (cfg.path_even(), cfg.path_odd(), cfg.path_survivors())
+        ]
+        gaps = _soundness_gaps(n, *lists, truth)
         if gaps:
             dropped[(n, "default")] = gaps
-        for i, overrides in enumerate(ALTERNATE_FILTER_CONFIGS):
-            cfg = pipeline.RunConfig(
-                n=n, out_dir=alt_base / f"alt{i}-n{n}", **overrides
-            )
-            pipeline.enumerate_pairs(cfg)
-            gaps = _soundness_gaps(n, cfg, truth)
+        for i, settings in enumerate(ALTERNATE_FILTER_CONFIGS):
+            gaps = _soundness_gaps(n, *_alternate_lists(n, **settings), truth)
             if gaps:
                 dropped[(n, f"alt{i}")] = gaps
     record_criterion(

@@ -39,6 +39,27 @@ def test_enumerate_sharded(tmp_path, capsys):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "0"], "length must be at least 1"),
+        (["--n", "3", "--shards", "0"], "shard count must be at least 1"),
+        (["--n", "3", "--shards", "2", "--shard-index", "3"], "shard index must lie in 1..shards"),
+        (["--n", "3", "--workers", "0"], "worker count must be at least 1"),
+    ],
+)
+def test_enumerate_rejects_invalid_settings(tmp_path, capsys, flags, message):
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("enumerate", "--out", str(out), *flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"cgolay enumerate: error: {message}"
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_oracle_subcommand(capsys):
     assert run_cli("oracle", "--n", "2") == 0
     assert capsys.readouterr().out == "2\t++\t+-\n"

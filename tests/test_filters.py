@@ -300,6 +300,18 @@ def test_half_join_equals_brute_force_composition():
         assert _join_all(n) == brute, f"n={n}"
 
 
+def test_single_precision_join_tables_keep_the_survivors(monkeypatch):
+    sched = filters.stage1_schedule()
+    for n in range(8, 15):
+        evens, odds = _halves(n)
+        default = filters.HalfJoin(n, evens, odds, sched).sweep(0, len(odds))
+        with monkeypatch.context() as m:
+            m.setattr(filters, "_COMPLEX64_THRESHOLD", -1)
+            assert filters.half_hall_columns(odds[:1], n, 128).dtype == np.complex64
+            single = filters.HalfJoin(n, evens, odds, sched).sweep(0, len(odds))
+        assert single == default, f"n={n}"
+
+
 def test_half_hall_columns_on_a_grid_coarser_than_n():
     # at 8 points a length-10 polynomial must fold (z^8 = 1), not truncate
     n, count = 10, 8

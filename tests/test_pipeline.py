@@ -1,13 +1,12 @@
 """Pipeline artifacts: correctness vs the oracle, resume, shards, formats."""
 
-import json
 import multiprocessing
 import os
 import time
 
 import pytest
 
-from cgolay import filters, oracle, pipeline
+from cgolay import encoding, filters, oracle, pipeline
 from cgolay.pipeline import RunConfig, shard_span
 
 
@@ -44,18 +43,45 @@ def test_length_one_has_no_odd_half(tmp_path):
     assert cfg.path_even().read_text() == "+\n"
 
 
-def test_rerun_is_resumed_and_byte_identical(tmp_path):
+def count_calls(monkeypatch, module, name, calls):
+    """Record name in calls whenever module.name is called."""
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_rerun_is_resumed_and_byte_identical(tmp_path, monkeypatch):
+    calls = []
+    count_calls(monkeypatch, filters, "enumerate_half_candidates", calls)
+    count_calls(monkeypatch, filters, "half_hall_columns", calls)
+    count_calls(monkeypatch, encoding, "find_partners", calls)
     cfg = RunConfig(n=4, out_dir=run_dir(tmp_path, "n4"))
     pipeline.enumerate_pairs(cfg)
     first = artifact_bytes(cfg)
+    assert sorted(first) == [
+        "L_A_n4.txt", "L_even_n4.txt", "L_odd_n4.txt", "pairs_n4.txt", "report_n4.txt",
+    ]
+    assert set(calls) == {"enumerate_half_candidates", "half_hall_columns", "find_partners"}
+
+    # a stage is done when its artifact exists: a rerun recomputes nothing
+    calls.clear()
     pipeline.enumerate_pairs(cfg)
+    assert calls == []
     assert artifact_bytes(cfg) == first
 
-    # resuming must reuse completed stages rather than recompute them
-    meta = json.loads(cfg.path_meta().read_text())
-    assert set(meta["stages"]) == {"halves", "stage1", "stage2"}
+    # deleting one artifact recomputes its stage only
+    cfg.path_survivors().unlink()
+    pipeline.enumerate_pairs(cfg)
+    assert calls == ["half_hall_columns"] * 2
+    assert artifact_bytes(cfg) == first
+    calls.clear()
     cfg.path_pairs().unlink()
     pipeline.enumerate_pairs(cfg)
+    assert calls and set(calls) == {"find_partners"}
     assert artifact_bytes(cfg) == first
 
 
@@ -65,16 +91,6 @@ def test_fresh_runs_are_byte_identical(tmp_path):
     pipeline.enumerate_pairs(a)
     pipeline.enumerate_pairs(b)
     assert artifact_bytes(a) == artifact_bytes(b)
-
-
-def test_changed_configuration_invalidates_artifacts(tmp_path):
-    out = run_dir(tmp_path, "n4")
-    pipeline.enumerate_pairs(RunConfig(n=4, out_dir=out))
-    relaxed = RunConfig(n=4, out_dir=out, epsilon=2e-3)
-    pairs = pipeline.enumerate_pairs(relaxed)
-    assert pairs == sorted(oracle.normalized_pairs(4))
-    meta = json.loads(relaxed.path_meta().read_text())
-    assert meta["fingerprint"]["epsilon"] == 2e-3
 
 
 def test_shard_union_equals_full_run(tmp_path):
@@ -144,9 +160,6 @@ def test_shards_of_one_directory_share_the_half_lists(tmp_path, monkeypatch):
         pipeline.enumerate_pairs(RunConfig(n=8, out_dir=out, shards=3, shard_index=k))
     pipeline.enumerate_pairs(RunConfig(n=8, out_dir=out))
     assert calls == ["even", "odd"]
-    # the half lists depend on dft_pre and epsilon: a change recomputes them
-    pipeline.enumerate_pairs(RunConfig(n=8, out_dir=out, dft_pre=2**12))
-    assert calls == ["even", "odd"] * 2
 
 
 def test_shards_tabulate_only_their_odd_span(tmp_path, monkeypatch):
@@ -219,10 +232,6 @@ def test_config_validation():
         RunConfig(n=3, out_dir="x", shards=2, shard_index=3)
     with pytest.raises(ValueError):
         RunConfig(n=3, out_dir="x", shard_index=0)
-    with pytest.raises(ValueError):
-        RunConfig(n=3, out_dir="x", dft_stage1=100)  # not a power of two
-    with pytest.raises(ValueError):
-        RunConfig(n=3, out_dir="x", epsilon=0.0)
     with pytest.raises(ValueError):
         RunConfig(n=3, out_dir="x", workers=0)
 
