@@ -27,7 +27,6 @@ def _add_enumerate(sub):
     p.add_argument("--shards", type=int, default=1, help="total shard count")
     p.add_argument("--shard-index", type=int, default=1, help="1-based shard to run")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
-    p.set_defaults(parser=p)
 
 
 def _add_inputs(p):
@@ -42,10 +41,28 @@ def _add_inputs(p):
     )
 
 
-def _read_by_length(paths):
+def _read_text(args, path):
+    try:
+        return path.read_text()
+    except OSError as exc:
+        args.parser.error(f"cannot read {path}: {exc.strerror}")
+
+
+def _make_out_dir(args):
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        args.parser.error(f"cannot create directory {args.out}: {exc.strerror}")
+
+
+def _read_by_length(args):
     by_length = {}
-    for path in paths:
-        for a, b in pipeline.read_pairs(path):
+    for path in args.inputs:
+        for lineno, line in enumerate(_read_text(args, path).splitlines(), start=1):
+            try:
+                a, b = pipeline.parse_pair_line(line)
+            except ValueError as exc:
+                args.parser.error(f"{path}:{lineno}: {exc}")
             by_length.setdefault(len(a), set()).add((a, b))
     return by_length
 
@@ -70,6 +87,7 @@ def _cmd_enumerate(args):
         )
     except ValueError as exc:
         args.parser.error(str(exc))
+    _make_out_dir(args)
     t0 = _cpu_seconds()
     pipeline.enumerate_pairs(cfg)
     cpu = _cpu_seconds() - t0
@@ -79,8 +97,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_postprocess(args):
-    by_length = _read_by_length(args.inputs)
-    args.out.mkdir(parents=True, exist_ok=True)
+    by_length = _read_by_length(args)
+    _make_out_dir(args)
     rows = []
     for n in sorted(by_length):
         omegas = postprocess.build_omegas(n, sorted(by_length[n]))
@@ -105,9 +123,10 @@ def _cmd_postprocess(args):
 
 
 def _cmd_verify(args):
+    texts = [(path, _read_text(args, path)) for path in args.inputs]
     bad = 0
-    for path in args.inputs:
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for path, text in texts:
+        for lineno, line in enumerate(text.splitlines(), start=1):
             try:
                 pair = pipeline.parse_pair_line(line)
             except ValueError as exc:
@@ -117,19 +136,23 @@ def _cmd_verify(args):
             if not core.is_golay_pair(pair):
                 print(f"{path}:{lineno}: correlation condition fails: {line}")
                 bad += 1
-    total = sum(len(p.read_text().splitlines()) for p in args.inputs)
+    total = sum(len(text.splitlines()) for _, text in texts)
     print(f"verified {total - bad}/{total} pairs")
     return 1 if bad else 0
 
 
 def _cmd_oracle(args):
-    for a, b in sorted(oracle.normalized_pairs(args.n)):
+    try:
+        pairs = oracle.normalized_pairs(args.n)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+    for a, b in sorted(pairs):
         print(pipeline.pair_line(args.n, (a, b)))
     return 0
 
 
 def _cmd_counts(args):
-    by_length = _read_by_length(args.inputs)
+    by_length = _read_by_length(args)
     rows = postprocess.census_rows({n: sorted(ps) for n, ps in by_length.items()})
     sys.stdout.write(
         "n,seqs,all,inequiv\n"
@@ -161,6 +184,10 @@ def main(argv=None):
 
     p = sub.add_parser("counts", help="census CSV for pair files")
     _add_inputs(p)
+
+    # handlers report bad input through their own subparser's error()
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
 
     args = parser.parse_args(argv)
     handler = {

@@ -25,7 +25,8 @@ find_partners searches with one callback, PartnerChecker, which keeps
 per-shift completion counts synchronized with the solver trail and only
 recomputes sums that changed.  golay_callback is the reference it is
 tested against: a direct, stateless reading of the rule that rescans the
-full assignment every time.  The two must agree move for move.
+full assignment every time.  The two must agree move for move.  A veto
+only makes the solver backtrack; nothing is learned from it.
 """
 
 from __future__ import annotations
@@ -160,13 +161,16 @@ class PartnerChecker:
     already verified on this branch is skipped via a memo flag -- set only
     after a successful check, never on a veto, since a veto unwinds the
     trail and the same shift must be re-examined on the next branch.
+
+    Values are read from the solver; the checker only counts the trail
+    entries it has absorbed, and reads the ones on_backtrack undoes from
+    the trail before the solver unassigns them.
     """
 
     def __init__(self, enc):
         n = enc.length
         self._n = n
         self._targets = enc.targets
-        self._bits = [-1] * (2 * n)
         self._exps = [0] * n
         self._known = [False] * n
         # shift s touches position k iff s <= max(k, n-1-k)
@@ -174,37 +178,34 @@ class PartnerChecker:
         self._complete = [0] * n  # known positions in support(s), index s
         self._size = [0] + [min(n, 2 * (n - s)) for s in range(1, n)]
         self._checked = [False] * n
-        self._shadow = []  # copy of the absorbed trail prefix
+        self._trail = []  # the solver's trail, bound on the first call
+        self._synced = 0  # trail entries absorbed
 
-    def on_backtrack(self, new_len):
-        shadow = self._shadow
-        bits, known = self._bits, self._known
-        while len(shadow) > new_len:
-            var = shadow.pop()
-            bits[var] = -1
+    def on_backtrack(self, mark):
+        known = self._known
+        for var in self._trail[mark:self._synced]:
             k = var >> 1
             if known[k]:
                 known[k] = False
                 for s in range(1, self._max_shift[k] + 1):
                     self._complete[s] -= 1
                     self._checked[s] = False
+        self._synced = min(self._synced, mark)
 
     def _sync(self, solver):
         trail, val = solver.trail, solver._val
-        shadow = self._shadow
-        if len(shadow) > len(trail):
+        self._trail = trail
+        if self._synced > len(trail):
             raise RuntimeError("trail unwound without an on_backtrack notification")
-        bits, known = self._bits, self._known
-        for i in range(len(shadow), len(trail)):
-            var = trail[i]
-            shadow.append(var)
-            bits[var] = val[var]
+        known = self._known
+        for var in trail[self._synced:]:
             k = var >> 1
-            if not known[k] and bits[2 * k] >= 0 and bits[2 * k + 1] >= 0:
+            if not known[k] and val[2 * k] >= 0 and val[2 * k + 1] >= 0:
                 known[k] = True
-                self._exps[k] = bits[2 * k] + 2 * bits[2 * k + 1]
+                self._exps[k] = val[2 * k] + 2 * val[2 * k + 1]
                 for s in range(1, self._max_shift[k] + 1):
                     self._complete[s] += 1
+        self._synced = len(trail)
 
     def __call__(self, solver):
         self._sync(solver)

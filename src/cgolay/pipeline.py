@@ -115,7 +115,10 @@ def pair_line(n, pair):
 
 
 def parse_pair_line(line):
-    n_text, a_text, b_text = line.split("\t")
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ValueError(f"expected three tab-separated fields: {line!r}")
+    n_text, a_text, b_text = fields
     a, b = core.from_text(a_text), core.from_text(b_text)
     if len(a) != int(n_text) or len(b) != int(n_text):
         raise ValueError(f"length field disagrees with members: {line!r}")
@@ -161,19 +164,10 @@ def _stage2_worker(span):
     return out
 
 
-def _chunk_spans(lo, hi, pieces):
-    total = hi - lo
-    spans = []
-    for k in range(pieces):
-        a = lo + k * total // pieces
-        b = lo + (k + 1) * total // pieces
-        if a < b:
-            spans.append((a, b))
-    return spans
-
-
-def _run_chunked(worker, lo, hi, workers):
-    spans = _chunk_spans(lo, hi, max(1, workers) * 4)
+def _run_chunked(worker, total, workers):
+    pieces = workers * 4
+    spans = [shard_span(total, pieces, k) for k in range(1, pieces + 1)]
+    spans = [(lo, hi) for lo, hi in spans if lo < hi]
     if workers <= 1 or len(spans) <= 1:
         results = [worker(s) for s in spans]
     else:
@@ -218,7 +212,7 @@ def run_stage1(cfg, evens, odds):
     join = filters.HalfJoin(cfg.n, evens, odds[lo:hi], filters.stage1_schedule())
     global _WORK
     _WORK = {"join": join}
-    survivors = _run_chunked(_stage1_worker, 0, join.odd_count, cfg.workers)
+    survivors = _run_chunked(_stage1_worker, join.odd_count, cfg.workers)
     _WORK = {}
     survivors.sort()
     write_candidates(cfg.path_survivors(), survivors)
@@ -231,7 +225,7 @@ def run_stage2(cfg, survivors):
         return read_pairs(cfg.path_pairs())
     global _WORK
     _WORK = {"survivors": survivors}
-    pairs = _run_chunked(_stage2_worker, 0, len(survivors), cfg.workers)
+    pairs = _run_chunked(_stage2_worker, len(survivors), cfg.workers)
     _WORK = {}
     pairs.sort()
     write_pairs(cfg.path_pairs(), cfg.n, pairs)

@@ -13,14 +13,18 @@ The callback receives the solver and answers one of three ways:
 * SOLUTION   -- the assignment is complete and acceptable;
 * Conflict(clause) -- the current state is dead.  The clause (DIMACS-signed
   ints) must be falsified by the current assignment, and must not exclude
-  any full assignment the callback would accept; it is added to the clause
-  database and prunes the rest of the search.
+  any full assignment the callback would accept; the solver checks the
+  first condition and backtracks.
 
-A full assignment is emitted iff propagation and callback both pass.  Each
-emitted assignment is excluded going forward by a blocking clause over the
-variables not fixed at the root, so every solution appears exactly once.
-Learned and blocking clauses watch their two deepest-assigned literals,
-which keeps the watch invariant intact across the chronological unwinds.
+A verdict must be a function of the current assignment alone: no clause is
+kept from a conflict, so a later state the clause covers is vetoed only if
+the callback vetoes it again.  A callback's on_backtrack(mark), if any, is
+called before trail[mark:] is unassigned.
+
+A full assignment is emitted iff propagation and callback both pass.  The
+depth-first search visits each partial assignment at most once, so every
+solution appears exactly once and nothing needs to be learned; the watch
+lists hold only the static clauses, each watching its first two literals.
 
 Variables are 0-based; clause literals are DIMACS-style nonzero ints, +v
 for variable v-1 true, -v for false.  A Solver instance is single-shot:
@@ -65,13 +69,11 @@ class Solver:
         self.num_vars = num_vars
         self.trail = []  # assigned variables, oldest first
         self._val = [-1] * num_vars  # -1 unassigned, 0 false, 1 true
-        self._pos = [-1] * num_vars  # trail index per assigned variable
         self._watch = [[] for _ in range(2 * num_vars)]
         self._static = []  # DIMACS tuples as added, for inspection
         self._units = []  # internal literals of width-1 static clauses
         self._order = list(range(num_vars))
         self._qhead = 0
-        self._root_len = 0
         self._started = False
 
     # -- construction ------------------------------------------------------
@@ -102,7 +104,8 @@ class Solver:
         if len(lits) == 1:
             self._units.append(lits[0])
         else:
-            self._attach(lits)
+            self._watch[lits[0]].append(lits)
+            self._watch[lits[1]].append(lits)
 
     def set_branch_order(self, order):
         """Fix the decision order: a permutation of all variable indices."""
@@ -128,28 +131,14 @@ class Solver:
 
     # -- kernel --------------------------------------------------------------
 
-    def _attach(self, lits):
-        # watch the two literals assigned deepest (unassigned counts as
-        # deepest of all); after any chronological unwind this keeps the
-        # invariant that a clause is scanned before it can be violated
-        if len(lits) == 1:
-            lits = [lits[0], lits[0]]
-        else:
-            lits.sort(key=lambda l: self._pos[l >> 1], reverse=True)
-        self._watch[lits[0]].append(lits)
-        self._watch[lits[1]].append(lits)
-
     def _assign(self, var, value):
         self._val[var] = value
-        self._pos[var] = len(self.trail)
         self.trail.append(var)
 
     def _cancel_to(self, mark):
-        val, pos, trail = self._val, self._pos, self.trail
+        val, trail = self._val, self.trail
         for k in range(len(trail) - 1, mark - 1, -1):
-            v = trail[k]
-            val[v] = -1
-            pos[v] = -1
+            val[trail[k]] = -1
         del trail[mark:]
         self._qhead = mark
 
@@ -193,25 +182,21 @@ class Solver:
             ws[:] = keep
         return None
 
-    def _learn(self, clause):
-        # validate the callback contract: every literal currently false
-        lits = self._to_internal(clause)
-        for l in lits:
-            if self._val[l >> 1] != (l & 1):
-                raise CallbackContractError(
-                    f"conflict clause {clause!r} is not falsified by the current assignment"
-                )
-        self._attach(lits)
-
     def _consult(self, callback):
-        # True to keep descending, False on a (now recorded) conflict
+        # True to keep descending, False on a conflict
         if callback is None:
             return True
         res = callback(self)
         if res is NO_CONFLICT or res is SOLUTION:
             return True
         if isinstance(res, Conflict):
-            self._learn(res.clause)
+            # the contract: every literal of the clause is currently false
+            for l in self._to_internal(res.clause):
+                if self._val[l >> 1] != (l & 1):
+                    raise CallbackContractError(
+                        f"conflict clause {res.clause!r} is not falsified"
+                        " by the current assignment"
+                    )
             return False
         raise CallbackContractError(f"callback returned unexpected {res!r}")
 
@@ -219,9 +204,9 @@ class Solver:
         # pop exhausted decisions, flip the deepest half-tried one to True
         while stack:
             mark, var, flipped, oi = stack[-1]
-            self._cancel_to(mark)
             if hook is not None:
                 hook(mark)
+            self._cancel_to(mark)
             if flipped:
                 stack.pop()
                 continue
@@ -248,7 +233,6 @@ class Solver:
             return
         if not self._consult(callback):
             return  # impossible already at the root
-        self._root_len = len(self.trail)
 
         order = self._order
         stack = []  # [trail mark, decided var, flipped?, order pointer]
@@ -262,14 +246,6 @@ class Solver:
                 oi += 1
             if var < 0:
                 yield tuple(v == 1 for v in self._val)
-                lits = [
-                    v << 1 | self._val[v]
-                    for v in range(self.num_vars)
-                    if self._pos[v] >= self._root_len
-                ]
-                if not lits:
-                    return  # everything was root-fixed: unique solution
-                self._attach(lits)
                 oi = self._backtrack_and_flip(stack, hook)
                 if oi is None:
                     return

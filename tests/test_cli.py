@@ -60,6 +60,49 @@ def test_enumerate_rejects_invalid_settings(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "--n", "0"], "normalized oracle supports lengths 1..8, got 0"),
+        (["oracle", "--n", "9"], "normalized oracle supports lengths 1..8, got 9"),
+        (["verify", "--pairs", "{missing}"], "cannot read {missing}: No such file or directory"),
+        (["counts", "--in", "{missing}"], "cannot read {missing}: No such file or directory"),
+        (
+            ["postprocess", "--in", "{missing}", "--out", "{census}"],
+            "cannot read {missing}: No such file or directory",
+        ),
+        (["counts", "--in", "{junk}"], "{junk}:2: expected three tab-separated fields: 'junk'"),
+        (
+            ["postprocess", "--in", "{junk}", "--out", "{census}"],
+            "{junk}:2: expected three tab-separated fields: 'junk'",
+        ),
+        (
+            ["enumerate", "--n", "2", "--out", "{junk}"],
+            "cannot create directory {junk}: File exists",
+        ),
+    ],
+    ids=[
+        "oracle-n0", "oracle-n9", "verify-missing", "counts-missing",
+        "postprocess-missing", "counts-junk", "postprocess-junk", "enumerate-out-is-a-file",
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
+    names = {
+        "missing": tmp_path / "missing.txt",
+        "junk": tmp_path / "junk.txt",
+        "census": tmp_path / "census",
+    }
+    names["junk"].write_text("3\t++-\t+i+\njunk\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(arg.format(**names) for arg in argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"cgolay {argv[0]}: error: " + message.format(**names)
+    assert "Traceback" not in captured.err
+    assert not names["census"].exists()
+
+
 def test_oracle_subcommand(capsys):
     assert run_cli("oracle", "--n", "2") == 0
     assert capsys.readouterr().out == "2\t++\t+-\n"

@@ -165,6 +165,14 @@ def test_callbacks_agree_move_for_move(n):
         assert cross.consults > 0
 
 
+def test_checker_rejects_an_unwind_it_was_not_told_of():
+    # a plain function hides the checker's on_backtrack from the solver
+    solver, enc = build_instance((0, 0, 2))
+    checker = PartnerChecker(enc)
+    with pytest.raises(RuntimeError, match="without an on_backtrack notification"):
+        list(solver.solve_all(lambda s: checker(s)))
+
+
 def test_partners_are_exact_pairs():
     for a in all_normalized_firsts(5):
         for b in find_partners(a):

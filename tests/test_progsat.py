@@ -128,9 +128,10 @@ def test_unexpected_callback_result_is_rejected():
         list(solver.solve_all(lambda s: "maybe"))
 
 
-def test_learned_clause_survives_backtracking():
-    # the conflict fires deep in the first subtree; if the learned clause
-    # were forgotten (or its watches mishandled) the pair would reappear
+def test_conflict_is_raised_again_in_every_branch_it_covers():
+    # the conflict fires deep in the first subtree and no clause is kept
+    # from it, so the callback must veto the pair again wherever it
+    # recurs; otherwise the pair would reappear among the solutions
     seen = []
 
     def cb(solver):
@@ -144,6 +145,25 @@ def test_learned_clause_survives_backtracking():
     sols = set(run(3, [], cb))
     assert sols == {s for s in truth_table_solutions(3, []) if not (s[0] and s[2])}
     assert sols == set(seen)
+
+
+def test_only_static_clauses_are_watched():
+    clauses = [(1, 2, 3), (-1, -3), (2, -4, 5), (5,)]
+
+    def cb(solver):
+        a, b = solver.value(1), solver.value(2)
+        if a is True and b is False:
+            return Conflict((-2, 3))
+        return NO_CONFLICT
+
+    solver = Solver(5)
+    for cl in clauses:
+        solver.add_clause(cl)
+    sols = list(solver.solve_all(cb))
+    assert len(sols) > 1
+    assert set(sols) == truth_table_solutions(5, clauses + [(-2, 3)])
+    non_unit = sum(1 for cl in clauses if len(cl) > 1)
+    assert sum(len(ws) for ws in solver._watch) == 2 * non_unit
 
 
 def test_branch_order_changes_order_not_set():
@@ -233,3 +253,25 @@ def test_solutions_are_emitted_without_duplicates():
         clauses = random_cnf(rng, num_vars, rng.randint(0, num_vars))
         sols = run(num_vars, clauses)
         assert len(sols) == len(set(sols))
+
+
+def test_random_instances_split_between_clauses_and_callback():
+    rng = random.Random(2024)
+    for _ in range(200):
+        num_vars = rng.randint(1, 9)
+        clauses = random_cnf(rng, num_vars, rng.randint(0, int(2.6 * num_vars) + 1))
+        static = [cl for cl in clauses if rng.random() < 0.5]
+        enforced = [cl for cl in clauses if cl not in static]
+
+        def cb(solver):
+            # stateless: report the first enforced clause the assignment falsifies
+            for cl in enforced:
+                if all(solver.value(abs(l) - 1) is (l < 0) for l in cl):
+                    return Conflict(cl)
+            return NO_CONFLICT
+
+        order = list(range(num_vars))
+        rng.shuffle(order)
+        sols = run(num_vars, static, cb, order)
+        assert len(sols) == len(set(sols))
+        assert set(sols) == truth_table_solutions(num_vars, clauses)
