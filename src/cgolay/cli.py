@@ -89,7 +89,10 @@ def _cmd_enumerate(args):
         args.parser.error(str(exc))
     _make_out_dir(args)
     t0 = _cpu_seconds()
-    pipeline.enumerate_pairs(cfg)
+    try:
+        pipeline.enumerate_pairs(cfg)
+    except pipeline.ArtifactError as exc:
+        args.parser.error(str(exc))
     cpu = _cpu_seconds() - t0
     sys.stdout.write(cfg.path_report().read_text())
     print(f"cpu_seconds={cpu:.3f}")

@@ -1,32 +1,38 @@
-"""Partner search for a fixed first sequence, via the programmatic kernel.
+"""Partner search for a fixed first sequence, and its SAT reference.
 
 Given a first sequence A over the fourth roots of unity, the partner B must
-cancel A's aperiodic autocorrelation at every nonzero shift.  Each entry of
-B is two Boolean variables: for position k, variable 2k is the "imaginary"
-bit and variable 2k+1 the "negation" bit, decoding as
+cancel A's aperiodic autocorrelation at every nonzero shift.  The largest
+shift constrains only the outermost entries: the real part of A's
+shift-(n-1) correlation forces b_0 * conj(b_{n-1}) into a known parity
+class, and the same applies inward to every mirror pair (k, n-1-k).
+
+find_partners, the production search, is a depth-first search over entry
+exponents.  It pins b_0 = 1 and places one mirror pair at a time: b_k
+takes any value, b_{n-1-k} only the two of the right parity.  Once pair k
+is placed, the window of shift n-1-k is complete, so that shift is checked
+at once and a mismatch prunes the subtree.  The middle entry of odd n and
+the shifts below n/2 are checked on the full assignment.
+
+The rest of the module is the paper's programmatic-SAT formulation of the
+same search.  No production path runs it; it is the independent reference
+the tests hold find_partners to.  Each entry of B is two Boolean
+variables: for position k, variable 2k is the "imaginary" bit and variable
+2k+1 the "negation" bit, decoding as
 
     (False, False) -> 1       (True, False) -> i
     (False, True)  -> -1      (True, True)  -> -i
 
-i.e. the entry exponent is bit0 + 2*bit1.  Normalization pins the leading
-entry of B to 1 (two unit clauses).  The largest shift constrains only the
-outermost entries: the real part of A's shift-(n-1) correlation forces the
-product b_0 * conj(b_{n-1}) into a known parity class, and the same applies
-inward, so each mirror pair (k, n-1-k) gets two binary clauses tying the
-imaginary bits together.  Everything finer-grained than parity lives in the
-search callback, which recomputes a shift's correlation sum the moment all
-entries it touches become known and vetoes the subtree on a mismatch.
-
-The decision order interleaves the two ends (positions 0, n-1, 1, n-2, ...)
-so that large shifts -- whose constraint windows complete first -- prune as
-early as possible.
-
-find_partners searches with one callback, PartnerChecker, which keeps
-per-shift completion counts synchronized with the solver trail and only
-recomputes sums that changed.  golay_callback is the reference it is
-tested against: a direct, stateless reading of the rule that rescans the
-full assignment every time.  The two must agree move for move.  A veto
-only makes the solver backtrack; nothing is learned from it.
+i.e. the entry exponent is bit0 + 2*bit1.  build_instance pins the leading
+entry to 1 (two unit clauses), gives each mirror pair two binary clauses
+tying the imaginary bits together (the parity rule above), and interleaves
+the two ends in the decision order (positions 0, n-1, 1, n-2, ...).
+Everything finer-grained than parity lives in a callback, which recomputes
+a shift's correlation sum the moment all entries it touches become known
+and vetoes the subtree on a mismatch.  golay_callback is the stateless
+reading of that rule, rescanning the full assignment every time;
+PartnerChecker is its incremental form, synchronized with the solver
+trail.  The two must agree move for move.  A veto only makes the solver
+backtrack; nothing is learned from it.
 """
 
 from __future__ import annotations
@@ -162,9 +168,11 @@ class PartnerChecker:
     after a successful check, never on a veto, since a veto unwinds the
     trail and the same shift must be re-examined on the next branch.
 
-    Values are read from the solver; the checker only counts the trail
-    entries it has absorbed, and reads the ones on_backtrack undoes from
-    the trail before the solver unassigns them.
+    Values are read from the solver.  The checker keeps the trail prefix it
+    has absorbed, as (variable, value) pairs, and reads the ones
+    on_backtrack undoes from that copy.  Each call compares the copy with
+    the solver's trail, so an unwind it was not told of is an error even
+    when the trail has since grown back to the same length.
     """
 
     def __init__(self, enc):
@@ -178,34 +186,34 @@ class PartnerChecker:
         self._complete = [0] * n  # known positions in support(s), index s
         self._size = [0] + [min(n, 2 * (n - s)) for s in range(1, n)]
         self._checked = [False] * n
-        self._trail = []  # the solver's trail, bound on the first call
-        self._synced = 0  # trail entries absorbed
+        self._absorbed = []  # (var, value) of every trail entry absorbed
 
     def on_backtrack(self, mark):
         known = self._known
-        for var in self._trail[mark:self._synced]:
+        for var, _ in self._absorbed[mark:]:
             k = var >> 1
             if known[k]:
                 known[k] = False
                 for s in range(1, self._max_shift[k] + 1):
                     self._complete[s] -= 1
                     self._checked[s] = False
-        self._synced = min(self._synced, mark)
+        del self._absorbed[mark:]
 
     def _sync(self, solver):
         trail, val = solver.trail, solver._val
-        self._trail = trail
-        if self._synced > len(trail):
+        absorbed = self._absorbed
+        synced = len(absorbed)
+        if [(var, val[var]) for var in trail[:synced]] != absorbed:
             raise RuntimeError("trail unwound without an on_backtrack notification")
         known = self._known
-        for var in trail[self._synced:]:
+        for var in trail[synced:]:
+            absorbed.append((var, val[var]))
             k = var >> 1
             if not known[k] and val[2 * k] >= 0 and val[2 * k + 1] >= 0:
                 known[k] = True
                 self._exps[k] = val[2 * k] + 2 * val[2 * k + 1]
                 for s in range(1, self._max_shift[k] + 1):
                     self._complete[s] += 1
-        self._synced = len(trail)
 
     def __call__(self, solver):
         self._sync(solver)
@@ -233,16 +241,55 @@ class PartnerChecker:
 def find_partners(first):
     """All partner sequences of the given first member, sorted by exponents.
 
+    A depth-first search over entry exponents, one mirror pair (k, n-1-k)
+    at a time.  b[0] is pinned to 1; b[n-1-k] takes only the two values
+    the parity rule of build_instance allows; shift n-1-k is checked as
+    soon as both entries are placed, the lower shifts once B is full.
     Every reported partner is re-verified against the full pair condition
     with exact arithmetic before being returned.
     """
-    solver, enc = build_instance(first)
+    a = tuple(e & 3 for e in first)
+    n = len(a)
+    if n == 0:
+        raise ValueError("first sequence must be non-empty")
+    targets = [None] + [
+        (-re, -im) for re, im in (core.autocorr(a, s) for s in range(1, n))
+    ]
+    half = n // 2
+    b = [0] * n
     partners = []
-    for snapshot in solver.solve_all(PartnerChecker(enc)):
-        b = decode_assignment(enc, snapshot)
-        if not core.is_golay_pair((enc.first, b)):
-            raise RuntimeError(
-                f"search produced a non-partner {b!r} for {enc.first!r}"
-            )
-        partners.append(b)
+
+    def matches(shift):
+        re = im = 0
+        for k in range(n - shift):
+            e = (b[k] - b[k + shift]) & 3
+            re += _RE[e]
+            im += _IM[e]
+        return (re, im) == targets[shift]
+
+    def place(k):
+        if k == half:
+            # odd n leaves its middle entry to place (at n=1 it is the pinned
+            # b[0]); for even n the loop runs once and changes nothing
+            for c in range(4) if n & 1 and n > 1 else (b[k],):
+                b[k] = c
+                if all(matches(s) for s in range(n - half - 1, 0, -1)):
+                    partner = tuple(b)
+                    if not core.is_golay_pair((a, partner)):
+                        raise RuntimeError(
+                            f"search produced a non-partner {partner!r} for {a!r}"
+                        )
+                    partners.append(partner)
+            return
+        j = n - 1 - k
+        flip = (a[k] ^ a[j]) & 1
+        for x in range(4) if k else (0,):
+            b[k] = x
+            low = (x ^ flip) & 1
+            for y in (low, low + 2):
+                b[j] = y
+                if matches(j):  # shift n-1-k spans exactly the placed entries
+                    place(k + 1)
+
+    place(0)
     return sorted(partners)

@@ -13,7 +13,8 @@ interrupted or repeated invocation picks up whatever already exists:
    contiguous span of it, filters.HalfJoin builds the half tables for that
    span once, before any worker forks, and worker chunks only sweep;
 3. stage 2 -- for each surviving first member, enumerate all partners with
-   the programmatic solver (file pairs).
+   encoding.find_partners, a depth-first search over mirror pairs of
+   entries (file pairs).
 
 All persisted lists are sorted, so outputs are byte-reproducible and the
 union of shard outputs equals the unsharded output.  Each write goes
@@ -101,12 +102,26 @@ def _write_atomic(path, text):
         raise
 
 
+class ArtifactError(ValueError):
+    """An artifact line that does not parse; the message names path:line."""
+
+
+def _read_lines(path, parse):
+    out = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            out.append(parse(line))
+        except ValueError as exc:
+            raise ArtifactError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
 def write_candidates(path, cands):
     _write_atomic(path, "".join(core.to_text(c) + "\n" for c in cands))
 
 
 def read_candidates(path):
-    return [core.from_text(line) for line in path.read_text().splitlines()]
+    return _read_lines(path, core.from_text)
 
 
 def pair_line(n, pair):
@@ -132,7 +147,7 @@ def write_pairs(path, n, pairs):
 
 
 def read_pairs(path):
-    return [parse_pair_line(line) for line in path.read_text().splitlines()]
+    return _read_lines(path, parse_pair_line)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,30 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
     assert not names["census"].exists()
 
 
+@pytest.mark.parametrize(
+    "n, name, text, message",
+    [
+        (3, "pairs_n3.txt", "garbage\n", "expected three tab-separated fields: 'garbage'"),
+        (4, "L_A_n4.txt", "++-+\n++x+\n", "bad sequence character 'x' in '++x+'"),
+    ],
+    ids=["pairs-garbage", "first-members-bad-character"],
+)
+def test_malformed_artifact_is_a_usage_error(tmp_path, capsys, n, name, text, message):
+    out = tmp_path / "runs"
+    out.mkdir()
+    bad = out / name
+    bad.write_text(text)
+    line = text.count("\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("enumerate", "--n", str(n), "--out", str(out))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"cgolay enumerate: error: {bad}:{line}: {message}"
+    assert "Traceback" not in captured.err
+    assert not (out / f"report_n{n}.txt").exists()
+
+
 def test_oracle_subcommand(capsys):
     assert run_cli("oracle", "--n", "2") == 0
     assert capsys.readouterr().out == "2\t++\t+-\n"

@@ -1,10 +1,14 @@
-"""Partner-search encoding: clause skeleton, callbacks, and oracle agreement."""
+"""Partner search: the mirror-pair search, its programmatic-SAT reference
+(clause skeleton and callbacks), and agreement with the oracle."""
 
+import importlib.util
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
-from cgolay import core, encoding, oracle, progsat
+from cgolay import core, encoding, oracle, pipeline, progsat
 from cgolay.encoding import (
     PartnerChecker,
     build_instance,
@@ -165,6 +169,14 @@ def test_callbacks_agree_move_for_move(n):
         assert cross.consults > 0
 
 
+def test_checker_compares_trail_contents_not_lengths():
+    # here the trail grows back to the absorbed length between two calls
+    solver, enc = build_instance((0, 0, 1, 2, 0))
+    checker = PartnerChecker(enc)
+    with pytest.raises(RuntimeError, match="without an on_backtrack notification"):
+        list(solver.solve_all(lambda s: checker(s)))
+
+
 def test_checker_rejects_an_unwind_it_was_not_told_of():
     # a plain function hides the checker's on_backtrack from the solver
     solver, enc = build_instance((0, 0, 2))
@@ -177,4 +189,58 @@ def test_partners_are_exact_pairs():
     for a in all_normalized_firsts(5):
         for b in find_partners(a):
             assert core.is_golay_pair((a, b))
-            assert b[0] == 0  # leading entry pinned by the unit clauses
+            assert b[0] == 0  # leading entry pinned to 1
+
+
+# -- the mirror-pair search against its programmatic-SAT reference ----------
+
+
+def _reference(a):
+    solver, enc = build_instance(a)
+    return _solve(solver, enc, PartnerChecker(enc))
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_search_matches_reference_on_first_members(tmp_path, n):
+    cfg = pipeline.RunConfig(n=n, out_dir=tmp_path)
+    survivors = pipeline.run_stage1(cfg, *pipeline.run_preprocessing(cfg))
+    assert survivors
+    for a in survivors:
+        assert find_partners(a) == _reference(a), a
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_search_matches_reference_on_random_sequences(n):
+    rng = random.Random(1000 + n)
+    for _ in range(40):
+        a = tuple(rng.randrange(4) for _ in range(n))
+        assert find_partners(a) == _reference(a), a
+
+
+@pytest.fixture(scope="module")
+def checks():
+    # the benchmark's own pair constructions, independent of the package
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_search_matches_reference_on_moved_constructions(checks, n):
+    # random sequences almost never have a partner; these always do
+    rng = random.Random(n)
+    for pair in checks.constructions(n):
+        a, _ = checks.random_moves(pair, rng)
+        partners = find_partners(a)
+        assert partners and partners == _reference(a), a
+
+
+def test_search_returns_the_known_partner_of_constructed_members(checks):
+    pairs = checks.constructions(32)
+    assert len(pairs) == 32
+    for a, b in pairs:
+        partners = find_partners(a)
+        assert checks.rescale_leading_one(b) in partners, a
+        assert len(partners) == 2, a
