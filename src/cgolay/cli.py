@@ -58,13 +58,21 @@ def _make_out_dir(args):
 def _read_by_length(args):
     by_length = {}
     for path in args.inputs:
-        for lineno, line in enumerate(_read_text(args, path).splitlines(), start=1):
-            try:
-                a, b = pipeline.parse_pair_line(line)
-            except ValueError as exc:
-                args.parser.error(f"{path}:{lineno}: {exc}")
+        try:
+            pairs = pipeline.read_pairs(path)
+        except OSError as exc:
+            args.parser.error(f"cannot read {path}: {exc.strerror}")
+        except pipeline.ArtifactError as exc:
+            args.parser.error(str(exc))
+        for a, b in pairs:
             by_length.setdefault(len(a), set()).add((a, b))
     return by_length
+
+
+def _census_csv(rows):
+    return "n,seqs,all,inequiv\n" + "".join(
+        ",".join(str(v) for v in row) + "\n" for row in rows
+    )
 
 
 def _cpu_seconds():
@@ -117,9 +125,7 @@ def _cmd_postprocess(args):
         print(f"crossover n={n}: {passing}/{len(omegas.representatives)} classes pass")
         for pair in failing:
             print(f"  violates: {pipeline.pair_line(n, pair)}")
-    csv_text = "n,seqs,all,inequiv\n" + "".join(
-        ",".join(str(v) for v in row) + "\n" for row in rows
-    )
+    csv_text = _census_csv(rows)
     (args.out / "counts.csv").write_text(csv_text)
     sys.stdout.write(csv_text)
     return 0
@@ -157,10 +163,7 @@ def _cmd_oracle(args):
 def _cmd_counts(args):
     by_length = _read_by_length(args)
     rows = postprocess.census_rows({n: sorted(ps) for n, ps in by_length.items()})
-    sys.stdout.write(
-        "n,seqs,all,inequiv\n"
-        + "".join(",".join(str(v) for v in row) + "\n" for row in rows)
-    )
+    sys.stdout.write(_census_csv(rows))
     return 0
 
 

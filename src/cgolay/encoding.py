@@ -26,13 +26,13 @@ i.e. the entry exponent is bit0 + 2*bit1.  build_instance pins the leading
 entry to 1 (two unit clauses), gives each mirror pair two binary clauses
 tying the imaginary bits together (the parity rule above), and interleaves
 the two ends in the decision order (positions 0, n-1, 1, n-2, ...).
-Everything finer-grained than parity lives in a callback, which recomputes
-a shift's correlation sum the moment all entries it touches become known
-and vetoes the subtree on a mismatch.  golay_callback is the stateless
-reading of that rule, rescanning the full assignment every time;
-PartnerChecker is its incremental form, synchronized with the solver
-trail.  The two must agree move for move.  A veto only makes the solver
-backtrack; nothing is learned from it.
+Everything finer-grained than parity lives in one callback, golay_callback:
+a shift's correlation sum must cancel A's as soon as every entry it
+touches is known, and a mismatch vetoes the subtree.  It reads the whole
+assignment on every consult.  PartnerChecker only binds an encoding to it
+in the solver's callback form, so perfbench's tracer has one method to
+patch.  A veto only makes the solver backtrack; nothing is learned from
+it.
 """
 
 from __future__ import annotations
@@ -128,114 +128,40 @@ def _veto_clause(n, shift, values):
 
 
 def golay_callback(enc, assignment):
-    """Reference verdict for a partial partner assignment.
+    """The kernel's verdict on a partial partner assignment.
 
-    Checks every shift whose support is fully assigned, scanning the whole
-    assignment from scratch.  Returns one of the kernel's three verdicts.
+    Checks shifts from n-1 downward while their supports are fully
+    assigned; the supports are nested, so the first incomplete shift ends
+    the scan.  A conflict names the largest failing shift.
     """
     n = enc.length
-    exps = [None] * n
-    assigned = 0
-    for k in range(n):
-        b0, b1 = assignment[2 * k], assignment[2 * k + 1]
-        if b0 is None or b1 is None:
-            continue
-        exps[k] = decode_entry(b0, b1)
-        assigned += 1
+    exps = [
+        None if b0 is None or b1 is None else decode_entry(b0, b1)
+        for b0, b1 in zip(assignment[::2], assignment[1::2])
+    ]
     for shift in range(n - 1, 0, -1):
-        sup = _support(n, shift)
-        if any(exps[k] is None for k in sup):
-            continue
-        re = im = 0
-        for k in range(n - shift):
-            e = (exps[k] - exps[k + shift]) & 3
-            re += _RE[e]
-            im += _IM[e]
-        if (re, im) != enc.targets[shift - 1]:
+        if any(exps[k] is None for k in _support(n, shift)):
+            return progsat.NO_CONFLICT
+        if core.autocorr(exps, shift) != enc.targets[shift - 1]:
             return progsat.Conflict(_veto_clause(n, shift, assignment))
-    if assigned == n:
-        return progsat.SOLUTION
-    return progsat.NO_CONFLICT
+    if None in exps:
+        return progsat.NO_CONFLICT
+    return progsat.SOLUTION
 
 
 class PartnerChecker:
-    """Incremental form of golay_callback, synchronized with the trail.
+    """golay_callback bound to one encoding, in the solver's callback form.
 
-    Completion counts per shift are maintained as entries become known; the
-    supports are nested (shrinking the shift only adds positions), so the
-    scan from the largest shift stops at the first incomplete one.  A shift
-    already verified on this branch is skipped via a memo flag -- set only
-    after a successful check, never on a veto, since a veto unwinds the
-    trail and the same shift must be re-examined on the next branch.
-
-    Values are read from the solver.  The checker keeps the trail prefix it
-    has absorbed, as (variable, value) pairs, and reads the ones
-    on_backtrack undoes from that copy.  Each call compares the copy with
-    the solver's trail, so an unwind it was not told of is an error even
-    when the trail has since grown back to the same length.
+    A thin adapter on purpose: perfbench's tracer patches __call__ to
+    count callback consults and conflicts, and that is its only reason to
+    exist apart from golay_callback.
     """
 
     def __init__(self, enc):
-        n = enc.length
-        self._n = n
-        self._targets = enc.targets
-        self._exps = [0] * n
-        self._known = [False] * n
-        # shift s touches position k iff s <= max(k, n-1-k)
-        self._max_shift = [max(k, n - 1 - k) for k in range(n)]
-        self._complete = [0] * n  # known positions in support(s), index s
-        self._size = [0] + [min(n, 2 * (n - s)) for s in range(1, n)]
-        self._checked = [False] * n
-        self._absorbed = []  # (var, value) of every trail entry absorbed
-
-    def on_backtrack(self, mark):
-        known = self._known
-        for var, _ in self._absorbed[mark:]:
-            k = var >> 1
-            if known[k]:
-                known[k] = False
-                for s in range(1, self._max_shift[k] + 1):
-                    self._complete[s] -= 1
-                    self._checked[s] = False
-        del self._absorbed[mark:]
-
-    def _sync(self, solver):
-        trail, val = solver.trail, solver._val
-        absorbed = self._absorbed
-        synced = len(absorbed)
-        if [(var, val[var]) for var in trail[:synced]] != absorbed:
-            raise RuntimeError("trail unwound without an on_backtrack notification")
-        known = self._known
-        for var in trail[synced:]:
-            absorbed.append((var, val[var]))
-            k = var >> 1
-            if not known[k] and val[2 * k] >= 0 and val[2 * k + 1] >= 0:
-                known[k] = True
-                self._exps[k] = val[2 * k] + 2 * val[2 * k + 1]
-                for s in range(1, self._max_shift[k] + 1):
-                    self._complete[s] += 1
+        self._enc = enc
 
     def __call__(self, solver):
-        self._sync(solver)
-        n = self._n
-        exps = self._exps
-        shift = n - 1
-        while shift >= 1 and self._complete[shift] == self._size[shift]:
-            if not self._checked[shift]:
-                re = im = 0
-                for k in range(n - shift):
-                    e = (exps[k] - exps[k + shift]) & 3
-                    re += _RE[e]
-                    im += _IM[e]
-                if (re, im) != self._targets[shift - 1]:
-                    return progsat.Conflict(
-                        _veto_clause(n, shift, solver.assignment())
-                    )
-                self._checked[shift] = True
-            shift -= 1
-        if len(solver.trail) == 2 * n:
-            return progsat.SOLUTION
-        return progsat.NO_CONFLICT
+        return golay_callback(self._enc, solver.assignment())
 
 
 def find_partners(first):

@@ -134,8 +134,11 @@ def parse_pair_line(line):
     if len(fields) != 3:
         raise ValueError(f"expected three tab-separated fields: {line!r}")
     n_text, a_text, b_text = fields
+    n = int(n_text)
+    if n < 1:
+        raise ValueError(f"length field must be at least 1: {line!r}")
     a, b = core.from_text(a_text), core.from_text(b_text)
-    if len(a) != int(n_text) or len(b) != int(n_text):
+    if len(a) != n or len(b) != n:
         raise ValueError(f"length field disagrees with members: {line!r}")
     if any(e is None for e in a + b):
         raise ValueError(f"pair line contains masked entries: {line!r}")

@@ -18,8 +18,7 @@ The callback receives the solver and answers one of three ways:
 
 A verdict must be a function of the current assignment alone: no clause is
 kept from a conflict, so a later state the clause covers is vetoed only if
-the callback vetoes it again.  A callback's on_backtrack(mark), if any, is
-called before trail[mark:] is unassigned.
+the callback vetoes it again.
 
 A full assignment is emitted iff propagation and callback both pass.  The
 depth-first search visits each partial assignment at most once, so every
@@ -200,12 +199,10 @@ class Solver:
             return False
         raise CallbackContractError(f"callback returned unexpected {res!r}")
 
-    def _backtrack_and_flip(self, stack, hook):
+    def _backtrack_and_flip(self, stack):
         # pop exhausted decisions, flip the deepest half-tried one to True
         while stack:
             mark, var, flipped, oi = stack[-1]
-            if hook is not None:
-                hook(mark)
             self._cancel_to(mark)
             if flipped:
                 stack.pop()
@@ -220,7 +217,6 @@ class Solver:
         if self._started:
             raise RuntimeError("solver instances are single-shot")
         self._started = True
-        hook = getattr(callback, "on_backtrack", None)
 
         for lit in self._units:
             var, want = lit >> 1, (lit & 1) ^ 1
@@ -246,7 +242,7 @@ class Solver:
                 oi += 1
             if var < 0:
                 yield tuple(v == 1 for v in self._val)
-                oi = self._backtrack_and_flip(stack, hook)
+                oi = self._backtrack_and_flip(stack)
                 if oi is None:
                     return
             else:
@@ -257,6 +253,6 @@ class Solver:
             while True:
                 if self._propagate() is None and self._consult(callback):
                     break
-                oi = self._backtrack_and_flip(stack, hook)
+                oi = self._backtrack_and_flip(stack)
                 if oi is None:
                     return

@@ -76,6 +76,7 @@ def test_enumerate_rejects_invalid_settings(tmp_path, capsys, flags, message):
             ["postprocess", "--in", "{junk}", "--out", "{census}"],
             "{junk}:2: expected three tab-separated fields: 'junk'",
         ),
+        (["counts", "--in", "{empty}"], "{empty}:1: length field must be at least 1: '0\\t\\t'"),
         (
             ["enumerate", "--n", "2", "--out", "{junk}"],
             "cannot create directory {junk}: File exists",
@@ -83,7 +84,8 @@ def test_enumerate_rejects_invalid_settings(tmp_path, capsys, flags, message):
     ],
     ids=[
         "oracle-n0", "oracle-n9", "verify-missing", "counts-missing",
-        "postprocess-missing", "counts-junk", "postprocess-junk", "enumerate-out-is-a-file",
+        "postprocess-missing", "counts-junk", "postprocess-junk", "counts-zero-length",
+        "enumerate-out-is-a-file",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
@@ -91,8 +93,10 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
         "missing": tmp_path / "missing.txt",
         "junk": tmp_path / "junk.txt",
         "census": tmp_path / "census",
+        "empty": tmp_path / "empty.txt",
     }
     names["junk"].write_text("3\t++-\t+i+\njunk\n")
+    names["empty"].write_text("0\t\t\n")
     with pytest.raises(SystemExit) as exc:
         run_cli(*(arg.format(**names) for arg in argv))
     assert exc.value.code == 2

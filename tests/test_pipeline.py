@@ -223,6 +223,21 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_killed_writers_temp_files_are_never_read(tmp_path):
+    clean = RunConfig(n=4, out_dir=run_dir(tmp_path, "clean"))
+    pipeline.enumerate_pairs(clean)
+    dirty = RunConfig(n=4, out_dir=run_dir(tmp_path, "dirty"))
+    # what _write_atomic leaves behind when its writer dies before os.replace
+    garbage = {"pairs_n4.txt.k1ll3d.tmp": "garbage\n", "L_A_n4.txt.k1ll3d.tmp": "++x+\n"}
+    for name, text in garbage.items():
+        (dirty.out_dir / name).write_text(text)
+    pipeline.enumerate_pairs(dirty)
+    names = ["L_A_n4.txt", "L_even_n4.txt", "L_odd_n4.txt", "pairs_n4.txt", "report_n4.txt"]
+    for name in names:
+        assert (dirty.out_dir / name).read_bytes() == (clean.out_dir / name).read_bytes()
+    assert sorted(os.listdir(dirty.out_dir)) == sorted(names + list(garbage))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(n=0, out_dir="x")
@@ -254,7 +269,7 @@ def test_candidate_file_roundtrip(tmp_path):
     assert path.stat().st_mode & 0o777 == 0o666 & ~pipeline._umask()
 
 
-def test_pair_line_roundtrip_and_validation():
+def test_pair_line_roundtrip_and_validation(tmp_path):
     line = pipeline.pair_line(3, ((0, 0, 2), (0, 1, 0)))
     assert line == "3\t++-\t+i+"
     assert pipeline.parse_pair_line(line) == ((0, 0, 2), (0, 1, 0))
@@ -264,3 +279,9 @@ def test_pair_line_roundtrip_and_validation():
         pipeline.parse_pair_line("3\t+0-\t+i+")  # masked entry
     with pytest.raises(ValueError):
         pipeline.parse_pair_line("3\t++x\t+i+")  # unknown character
+    with pytest.raises(ValueError, match="length field must be at least 1"):
+        pipeline.parse_pair_line("0\t\t")  # empty members agree with length 0
+    path = tmp_path / "pairs_n0.txt"
+    path.write_text("0\t\t\n")
+    with pytest.raises(pipeline.ArtifactError, match=":1: length field"):
+        pipeline.read_pairs(path)
