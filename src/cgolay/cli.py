@@ -46,6 +46,8 @@ def _read_text(args, path):
         return path.read_text()
     except OSError as exc:
         args.parser.error(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        args.parser.error(f"cannot read {path}: {exc}")
 
 
 def _make_out_dir(args):

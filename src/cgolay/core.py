@@ -131,37 +131,12 @@ def hall_eval(seq, z):
 # ---------------------------------------------------------------------------
 # pair-preserving equivalence operations
 
-def _op_reverse_both(pair):
-    a, b = pair
-    return (a[::-1], b[::-1])
-
-
-def _op_conj_reverse_first(pair):
-    a, b = pair
-    return (conj_seq(a[::-1]), b)
-
-
-def _op_swap(pair):
-    a, b = pair
-    return (b, a)
-
-
-def _op_scale_first(pair):
-    a, b = pair
-    return (scale_seq(1, a), b)
-
-
-def _op_ramp_both(pair):
-    a, b = pair
-    return (positional_scale(1, a), positional_scale(1, b))
-
-
 EQUIV_OPS = {
-    "E1": _op_reverse_both,
-    "E2": _op_conj_reverse_first,
-    "E3": _op_swap,
-    "E4": _op_scale_first,
-    "E5": _op_ramp_both,
+    "E1": lambda p: (p[0][::-1], p[1][::-1]),
+    "E2": lambda p: (conj_seq(p[0][::-1]), p[1]),
+    "E3": lambda p: (p[1], p[0]),
+    "E4": lambda p: (scale_seq(1, p[0]), p[1]),
+    "E5": lambda p: (positional_scale(1, p[0]), positional_scale(1, p[1])),
 }
 
 
@@ -179,6 +154,16 @@ def apply_equivalence(op, pair):
     return fn(pair)
 
 
+def pin(pair):
+    """Pin a pair: scale and ramp it (E3, E4, E5) to a[0] = a[1] = b[0] = 1."""
+    a, b = pair
+    t = (a[0] - a[1]) & 3 if len(a) >= 2 else 0
+    return (
+        tuple((x - a[0] + t * k) & 3 for k, x in enumerate(a)),
+        tuple((x - b[0] + t * k) & 3 for k, x in enumerate(b)),
+    )
+
+
 def normalize(pair):
     """Canonical representative of a pair under repeated E-operations.
 
@@ -191,20 +176,11 @@ def normalize(pair):
     n = len(a)
     if n == 0 or len(b) != n:
         raise ValueError("pair members must be nonempty and of equal length")
-    # E4 repetitions: force a[0] = 1
-    a = scale_seq((-a[0]) & 3, a)
-    if n >= 2:
-        # E5 repetitions: force a[1] = 1 (slot 0 unaffected)
-        t = (-a[1]) & 3
-        a = positional_scale(t, a)
-        b = positional_scale(t, b)
+    a, b = pin(pair)
     if n >= 3 and a[2] == 3:
         # E1 then E2 conjugates A in place and reverses B; turns a[2] = -i
-        # into i while keeping a[0] = a[1] = 1
-        a = conj_seq(a)
-        b = b[::-1]
-    # E3, E4 repetitions, E3: force b[0] = 1 without touching A
-    b = scale_seq((-b[0]) & 3, b)
+        # into i while keeping a[0] = a[1] = 1, and B is pinned again
+        a, b = pin((conj_seq(a), b[::-1]))
     return (a, b)
 
 

@@ -1,11 +1,12 @@
 """Brute-force ground truth for small lengths.
 
 Everything here is deliberately independent of the production search: the
-autocorrelation sum is re-implemented as a direct loop over shifts, and
-candidate sequences come from plain exhaustive generation.  The only thing
-shared with the rest of the package is the storage convention (entries as
-Z4 exponents of i).  If the filtering pipeline or the solver drifts, these
-functions are the referee.
+autocorrelation sum is re-implemented as a direct loop over shifts,
+candidate sequences come from plain exhaustive generation, and the census
+reference closes pairs under the five equivalence moves written out from
+their definitions.  The only thing shared with the rest of the package is
+the storage convention (entries as Z4 exponents of i).  If the filtering
+pipeline, the solver or the census drifts, these functions are the referee.
 """
 
 from __future__ import annotations
@@ -81,3 +82,24 @@ def full_pairs(n):
             if sb == want:
                 found.add((a, b))
     return found
+
+
+def equivalence_closure(pairs):
+    """Every pair reachable from the given ones under the five moves E1..E5."""
+    # E1 reverse both, E2 conjugate-reverse A, E3 swap, E4 scale A by i, E5 ramp
+    seen = {(tuple(a), tuple(b)) for a, b in pairs}
+    frontier = list(seen)
+    while frontier:
+        a, b = frontier.pop()
+        ramp_a, ramp_b = (tuple((x + k) & 3 for k, x in enumerate(s)) for s in (a, b))
+        for image in (
+            (a[::-1], b[::-1]),
+            (tuple(-x & 3 for x in reversed(a)), b),
+            (b, a),
+            (tuple((x + 1) & 3 for x in a), b),
+            (ramp_a, ramp_b),
+        ):
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return frozenset(seen)

@@ -103,12 +103,16 @@ def _write_atomic(path, text):
 
 
 class ArtifactError(ValueError):
-    """An artifact line that does not parse; the message names path:line."""
+    """An artifact that does not decode or parse; the message names path[:line]."""
 
 
 def _read_lines(path, parse):
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{path}: {exc}") from None
     out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         try:
             out.append(parse(line))
         except ValueError as exc:

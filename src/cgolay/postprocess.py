@@ -1,12 +1,15 @@
-"""Closure, classification, and diagnostics over enumerated pairs.
+"""Census, classification, and diagnostics over enumerated pairs.
 
-The enumeration emits one normalized pair per solver solution.  This module
-expands those back out: the closure of a pair under the five equivalence
-moves (reversal, conjugate-reversal of the first member, swap, scaling the
-first member by i, and the positional i^k ramp) reconstructs every pair in
-its class, and grouping normalized pairs by class yields the inequivalent
-representatives and the three headline counts per length -- distinct member
-sequences, total pairs, and classes.
+The enumeration emits normalized pairs.  This module expands them into
+every pair of their classes under the five equivalence moves E1..E5
+(core.apply_equivalence) and counts, per length, the distinct member
+sequences, the pairs and the classes.  Scaling A, scaling B and the ramp
+generate 64 offsets (A + p, B + q, both + r*k, mod 4), a normal subgroup
+acting freely from length 2 on, so each pair is one offset of exactly one
+pinned pair, with a[0] = a[1] = b[0] = 1 (core.pin).  Classes are closed
+over pinned pairs under the residual moves E1, E2 and E3, each followed by
+a re-pin, then expanded by all 64 offsets at once in numpy.  Pinning never
+raises a text key, so each class's least pair is pinned too.
 
 The crossover test is a structural diagnostic relating mirrored entries of
 the two members; it holds for every class at small lengths except a single
@@ -17,21 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import core
 
-
-def equivalence_closure(pairs):
-    """Every pair reachable from the given ones under the five moves."""
-    seen = {(tuple(a), tuple(b)) for a, b in pairs}
-    frontier = list(seen)
-    while frontier:
-        pair = frontier.pop()
-        for tag in core.EQUIV_OPS:
-            image = core.apply_equivalence(tag, pair)
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return frozenset(seen)
+RESIDUAL_OPS = ("E1", "E2", "E3")
 
 
 def _text_key(pair):
@@ -53,38 +46,59 @@ class OmegaSets:
         return (len(self.sequences), len(self.all_pairs), len(self.representatives))
 
 
+def _expand(n, pinned):
+    """(all pairs, sequences) from every offset of every pinned pair.
+
+    Each distinct sequence is one tuple, shared by all pairs holding it.
+    """
+    p, q, r = np.indices((4, 4, 4), dtype=np.uint8).reshape(3, 64, 1)
+    ramp = r * np.arange(n, dtype=np.uint8)
+    offsets = np.stack([p + ramp, q + ramp], axis=1)  # (64, 2, n)
+    # uint8 wraps mod 256, a multiple of 4, so masking afterwards is exact
+    base = np.array(pinned, dtype=np.uint8).reshape(-1, 1, 2, n)
+    rows = ((base + offsets) & 3).reshape(-1, n)
+    keys = rows.view(np.dtype((np.void, n))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    rows = distinct.view(np.uint8).reshape(-1, n).tolist()
+    seqs = np.fromiter(map(tuple, rows), dtype=object, count=len(rows))
+    members = seqs[inverse.ravel()]
+    return frozenset(zip(members[0::2], members[1::2])), frozenset(seqs)
+
+
 def build_omegas(n, pairs):
     """Group pairs into equivalence classes and collect the closure census.
 
-    Input order does not matter; every input pair is validated against the
-    defining correlation condition before anything else touches it.
+    Input order and form do not matter; every input pair is checked against
+    the defining correlation condition before anything else touches it.
     """
-    todo = []
+    pinned = set()
     for pair in pairs:
         a, b = pair
         if len(a) != n or len(b) != n:
             raise ValueError(f"pair {pair!r} does not have length {n}")
         if not core.is_golay_pair(pair):
             raise ValueError(f"pair {pair!r} fails the correlation condition")
-        todo.append((tuple(a), tuple(b)))
+        pinned.add(core.pin(pair))
 
-    absorbed = set()
+    closed = set()
     classes = []
-    for pair in sorted(todo):
-        if pair in absorbed:
+    for pair in pinned:
+        if pair in closed:
             continue
-        cls = equivalence_closure([pair])
-        absorbed |= cls
+        cls = {pair}
+        frontier = [pair]
+        while frontier:
+            current = frontier.pop()
+            for tag in RESIDUAL_OPS:
+                image = core.pin(core.apply_equivalence(tag, current))
+                if image not in cls:
+                    cls.add(image)
+                    frontier.append(image)
+        closed |= cls
         classes.append(min(cls, key=_text_key))
     classes.sort(key=_text_key)
 
-    sequences = frozenset(s for p in absorbed for s in p)
-    return OmegaSets(
-        length=n,
-        all_pairs=frozenset(absorbed),
-        sequences=sequences,
-        representatives=tuple(classes),
-    )
+    return OmegaSets(n, *_expand(n, list(closed)), tuple(classes))
 
 
 def crossover_check(pair):

@@ -42,7 +42,7 @@ PAIR_COUNTS = {
 
 CANDIDATE_COUNTS = {
     1: (1, None, 1),
-    2: (3, 1, 3),
+    2: (1, 1, 1),
     3: (3, 1, 1),
     4: (3, 4, 3),
     5: (12, 4, 5),

@@ -131,6 +131,34 @@ def test_malformed_artifact_is_a_usage_error(tmp_path, capsys, n, name, text, me
     assert not (out / f"report_n{n}.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["counts", "--in", "{bad}"], "{bad}: "),
+        (["postprocess", "--in", "{bad}", "--out", "{census}"], "{bad}: "),
+        (["verify", "--pairs", "{bad}"], "cannot read {bad}: "),
+        (["enumerate", "--n", "3", "--out", "{runs}"], "{bad}: "),
+    ],
+    ids=["counts", "postprocess", "verify", "enumerate-reload"],
+)
+def test_undecodable_pair_file_is_a_usage_error(tmp_path, capsys, argv, prefix):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    names = {"bad": runs / "pairs_n3.txt", "census": tmp_path / "census", "runs": runs}
+    names["bad"].write_bytes(b"3\t++-\t+i+\n\xff\xfe")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(arg.format(**names) for arg in argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"cgolay {argv[0]}: error: " + prefix.format(**names))
+    assert "can't decode" in last
+    assert "Traceback" not in captured.err
+    assert not names["census"].exists()
+    assert not (runs / "report_n3.txt").exists()
+
+
 def test_oracle_subcommand(capsys):
     assert run_cli("oracle", "--n", "2") == 0
     assert capsys.readouterr().out == "2\t++\t+-\n"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -220,6 +221,18 @@ def test_half_candidate_counts_frozen():
         sched = filters.preprocessing_schedule(n)
         assert len(filters.enumerate_half_candidates(n, "even", sched)) == n_even
         assert len(filters.enumerate_half_candidates(n, "odd", sched)) == n_odd
+
+
+def test_length_two_candidate_counts_by_brute_force():
+    # each count is at most the number of length-2 shapes the normal form
+    # allows, and at least 1 because the one normalized first member has a
+    # partner, so no sound filter drops it or either of its halves
+    seqs = list(itertools.product(range(4), repeat=2))
+    evens = {(s[0], None) for s in seqs if s[0] == 0}
+    odds = {(None, s[1]) for s in seqs if s[1] == 0}
+    firsts = {s for s in seqs if s[0] == s[1] == 0}
+    assert firsts <= {a for a, _ in oracle.full_pairs(2)}
+    assert (len(evens), len(odds), len(firsts)) == CANDIDATE_COUNTS[2] == (1, 1, 1)
 
 
 def test_half_candidates_are_well_formed():

@@ -4,12 +4,82 @@ import random
 
 import pytest
 
-from cgolay import core, oracle, postprocess
-from cgolay.postprocess import build_omegas, census_rows, crossover_check, equivalence_closure
+from cgolay import cli, core, oracle, pipeline, postprocess
+from cgolay.oracle import equivalence_closure
+from cgolay.postprocess import build_omegas, census_rows, crossover_check
 from expected_counts import PAIR_COUNTS
 
 # the single known class violating the crossover relation, at length 8
 CROSSOVER_EXCEPTION = ((0, 0, 0, 2, 0, 0, 2, 0), (0, 1, 1, 2, 0, 3, 3, 2))
+
+
+def text_key(pair):
+    return (core.to_text(pair[0]), core.to_text(pair[1]))
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """Per length: the enumerated pairs and the census by whole-class closure.
+
+    The reference closes every class with the oracle's five moves and takes
+    the least pair of each class by text key.
+    """
+    base = tmp_path_factory.mktemp("census")
+    cache = {}
+
+    def get(n):
+        if n not in cache:
+            cfg = pipeline.RunConfig(n=n, out_dir=base / f"n{n}")
+            pairs = pipeline.enumerate_pairs(cfg)
+            closure = equivalence_closure(pairs)
+            classes, absorbed = [], set()
+            for pair in sorted(closure):
+                if pair not in absorbed:
+                    cls = equivalence_closure([pair])
+                    absorbed |= cls
+                    classes.append(cls)
+            cache[n] = {
+                "cfg": cfg,
+                "pairs": pairs,
+                "classes": classes,
+                "census": (
+                    closure,
+                    frozenset(s for p in closure for s in p),
+                    tuple(sorted((min(c, key=text_key) for c in classes), key=text_key)),
+                ),
+            }
+        return cache[n]
+
+    return get
+
+
+def census_fields(omegas):
+    return (omegas.all_pairs, omegas.sequences, omegas.representatives)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_census_equals_closure_reference_on_unnormalized_inputs(reference, n):
+    ref = reference(n)
+    closure = sorted(ref["census"][0])
+    rng = random.Random(1000 + n)
+    sample = rng.sample(closure, min(len(closure), 300))
+    sample += [rng.choice(sorted(cls)) for cls in ref["classes"]]
+    rng.shuffle(sample)
+    for pairs in (ref["pairs"][::-1], sample, closure):
+        assert census_fields(build_omegas(n, pairs)) == ref["census"]
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_postprocess_files_equal_closure_reference(reference, tmp_path, capsys, n):
+    ref = reference(n)
+    closure, _, reps = ref["census"]
+    out = tmp_path / "census"
+    assert cli.main(["postprocess", "--in", str(ref["cfg"].path_pairs()), "--out", str(out)]) == 0
+    capsys.readouterr()
+    pipeline.write_pairs(tmp_path / "pairs_all.txt", n, sorted(closure))
+    pipeline.write_pairs(tmp_path / "reps.txt", n, list(reps))
+    assert (out / f"pairs_all_n{n}.txt").read_bytes() == (tmp_path / "pairs_all.txt").read_bytes()
+    assert (out / f"reps_n{n}.txt").read_bytes() == (tmp_path / "reps.txt").read_bytes()
 
 
 def test_closure_sizes_of_single_pairs():
