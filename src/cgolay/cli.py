@@ -103,6 +103,8 @@ def _cmd_enumerate(args):
         pipeline.enumerate_pairs(cfg)
     except pipeline.ArtifactError as exc:
         args.parser.error(str(exc))
+    except MemoryError:
+        args.parser.error(f"length {args.n} needs more memory than this machine has")
     cpu = _cpu_seconds() - t0
     sys.stdout.write(cfg.path_report().read_text())
     print(f"cpu_seconds={cpu:.3f}")

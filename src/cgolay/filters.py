@@ -35,8 +35,12 @@ points z = i^k are covered exactly by the entry-sum test, so nothing of
 value is skipped.
 
 This module owns the stage-1 join and its layout of sample points
-(progressive_points).  HalfJoin builds the halves' spectra at those points
-once per run.  It groups the halves by their four scaled entry sums and
+(progressive_points).  HalfJoin tabulates the halves' polynomials at those
+points once per run, as one product of the entry values with a table of
+z^k stored in single precision.  float32 rounding moves a tabulated |h|^2
+by a relative 2^-23 at most; with the join's sum and square also in
+float32 the error stays near 1e-5 at the bound 2n = 64, far below the
+1e-3 epsilon.  It groups the halves by their four scaled entry sums and
 decides the entry-sum test once per pair of classes, so each join costs a
 table lookup before the spectral slices; sweeps then run over spans of odd
 halves against every even half, and the pipeline only hands out the spans.
@@ -50,11 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cgolay import core
-
-# stage-1 half-spectrum caches switch to single precision above this row
-# count to bound memory; the epsilon guard dwarfs fp32 rounding (~1e-5)
-_COMPLEX64_THRESHOLD = 200_000
-
 
 @dataclass(frozen=True)
 class FilterSchedule:
@@ -101,21 +100,8 @@ def progressive_points(dft_samples):
     return [(m, j) for m, _ in stage1_schedule(dft_samples).stages for j in range(1, m, 2)]
 
 
-def progressive_columns(dft_samples):
-    """Finest-grid column index of every progressive point, in sweep order."""
-    return np.array([j * (dft_samples // m) for m, j in progressive_points(dft_samples)])
-
-
 # ---------------------------------------------------------------------------
 # spectra
-
-
-@dataclass(frozen=True)
-class SpectrumProfile:
-    """|h|^2 sampled at sample_count equally spaced points of the unit circle."""
-
-    sample_count: int
-    values: np.ndarray = field(repr=False)
 
 
 def _exponent_matrix(cands, n):
@@ -130,24 +116,16 @@ def _values_matrix(cands, n):
     return np.array(core.ENTRY_VALUES + (0,))[_exponent_matrix(cands, n)]
 
 
-def _hall_matrix(vals, sample_count):
-    # rows of h(e^(2*pi*i*j/N)) for j = 0..N-1: the inverse FFT times N
-    # evaluates the polynomial with the +i sign convention.  z^N = 1 at
-    # every point, so coefficients beyond N fold onto k mod N first
-    rows, n = vals.shape
-    if n > sample_count:
-        folded = np.zeros((rows, -(-n // sample_count) * sample_count), dtype=vals.dtype)
-        folded[:, :n] = vals
-        vals = folded.reshape(rows, -1, sample_count).sum(axis=1)
-    return np.fft.ifft(vals, n=sample_count, axis=1) * sample_count
-
-
 def spectrum(seq, sample_count):
-    """Sample |h|^2 for one sequence at sample_count roots of unity."""
+    """|h|^2 of one sequence at z = e^(2*pi*i*j/N), j = 0..N-1, by FFT.
+
+    The inverse FFT times N evaluates the polynomial with the +i sign
+    convention.  The filters do not use it; it is their test reference.
+    """
     if sample_count < len(seq):
         raise ValueError("sample count must be at least the sequence length")
-    row = _hall_matrix(_values_matrix([seq], len(seq)), sample_count)[0]
-    return SpectrumProfile(sample_count, row.real**2 + row.imag**2)
+    row = np.fft.ifft(_values_matrix([seq], len(seq))[0], n=sample_count) * sample_count
+    return row.real**2 + row.imag**2
 
 
 def _autocorrelations(vals):
@@ -349,20 +327,21 @@ def enumerate_half_candidates(n, parity, schedule):
 
 
 def half_hall_columns(cands, n, dft_samples):
-    """Half spectra at the progressive points, from the finest grid.
+    """Half polynomials at the progressive points, as complex64.
 
-    Every coarser stage's points are index-subsampled from the dft_samples
-    grid, so all stages share one transform.  Returns a complex array of
-    shape (points, candidates), points in progressive_points order.
+    One product of each chunk's entry values with a table of z^k, k < n,
+    evaluates the chunk; z^k's angle is reduced modulo the point's sample
+    count in integers, so a length above the count needs no fold.  The
+    product runs in double precision and is rounded once on storing, so
+    an entry is off by at most 2^-24 * |h|.  Returns an array of shape
+    (points, candidates), points in progressive_points order.
     """
-    cols = progressive_columns(dft_samples)
-    rows = len(cands)
-    dtype = np.complex64 if rows > _COMPLEX64_THRESHOLD else np.complex128
-    out = np.empty((cols.size, rows), dtype=dtype)
+    m, j = np.array(progressive_points(dft_samples)).T[:, :, None]
+    powers = np.exp((2j * np.pi / m) * ((j * np.arange(n)) % m))
+    out = np.empty((powers.shape[0], len(cands)), dtype=np.complex64)
     step = max(1, (1 << 21) // dft_samples)
-    for lo in range(0, rows, step):
-        vals = _values_matrix(cands[lo : lo + step], n)
-        out[:, lo : lo + step] = _hall_matrix(vals, dft_samples)[:, cols].T
+    for lo in range(0, len(cands), step):
+        out[:, lo : lo + step] = powers @ _values_matrix(cands[lo : lo + step], n).T
     return out
 
 

@@ -60,6 +60,20 @@ def test_enumerate_rejects_invalid_settings(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+def test_infeasible_length_is_a_usage_error(tmp_path, capsys):
+    # numpy refuses the half table's 3 EiB request without allocating it;
+    # a length that fits in the address space (n <~ 30) would really allocate
+    with pytest.raises(SystemExit) as exc:
+        run_cli("enumerate", "--n", "64", "--out", str(tmp_path / "runs"))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "cgolay enumerate: error: length 64 needs more memory than this machine has"
+    )
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,10 +1,8 @@
 """Partner search: the mirror-pair search, its programmatic-SAT reference
 (clause skeleton and callbacks), and agreement with the oracle."""
 
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -173,16 +171,6 @@ def test_search_matches_reference_on_random_sequences(n):
     for _ in range(40):
         a = tuple(rng.randrange(4) for _ in range(n))
         assert find_partners(a) == _reference(a), a
-
-
-@pytest.fixture(scope="module")
-def checks():
-    # the benchmark's own pair constructions, independent of the package
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("n", [16, 20, 24])

@@ -46,15 +46,20 @@ def test_stage1_schedule_shape():
         filters.stage1_schedule(4)
 
 
+def _grid_columns(count):
+    """Index of each progressive point on the count-point grid, in sweep order."""
+    return [j * (count // m) for m, j in filters.progressive_points(count)]
+
+
 def test_progressive_points_cover_all_but_quarter_points():
     pts = filters.progressive_points(128)
     assert len(pts) == 4 + 8 + 16 + 32 + 64
-    cols = filters.progressive_columns(128)
-    assert len(set(cols.tolist())) == len(pts)
+    cols = _grid_columns(128)
+    assert len(set(cols)) == len(pts)
     # the four unit-circle points z = i^k sit at multiples of 128/4 = 32
     # and are exactly the ones the sweep leaves to the entry-sum test
-    assert all(c % 32 != 0 for c in cols.tolist())
-    assert set(cols.tolist()) | {0, 32, 64, 96} == set(range(128))
+    assert all(c % 32 != 0 for c in cols)
+    assert set(cols) | {0, 32, 64, 96} == set(range(128))
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +67,8 @@ def test_progressive_points_cover_all_but_quarter_points():
 
 
 def test_spectrum_frozen_values():
-    assert np.allclose(filters.spectrum((0, 0), 2).values, [4.0, 0.0])
-    assert np.allclose(filters.spectrum((0,), 4).values, [1.0, 1.0, 1.0, 1.0])
+    assert np.allclose(filters.spectrum((0, 0), 2), [4.0, 0.0])
+    assert np.allclose(filters.spectrum((0,), 4), [1.0, 1.0, 1.0, 1.0])
 
 
 def test_spectrum_requires_enough_samples():
@@ -75,19 +80,19 @@ def test_spectrum_requires_enough_samples():
 def test_spectrum_parseval(seq, mult):
     n = len(seq)
     count = max(n, mult)
-    prof = filters.spectrum(seq, count)
+    mags = filters.spectrum(seq, count)
     nonzero = sum(1 for c in seq if c is not None)
-    assert prof.values.sum() == pytest.approx(count * nonzero)
-    assert prof.values.min() >= 0
+    assert mags.sum() == pytest.approx(count * nonzero)
+    assert mags.min() >= 0
 
 
 @given(masked_seqs)
 def test_spectrum_matches_direct_evaluation(seq):
     count = 2 * len(seq)
-    prof = filters.spectrum(seq, count)
+    mags = filters.spectrum(seq, count)
     for j in (0, 1, count - 1):
         z = complex(math.cos(2 * math.pi * j / count), math.sin(2 * math.pi * j / count))
-        assert prof.values[j] == pytest.approx(abs(core.hall_eval(seq, z)) ** 2, abs=1e-9)
+        assert mags[j] == pytest.approx(abs(core.hall_eval(seq, z)) ** 2, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +138,7 @@ def test_stage_pass_mask_matches_fft_reference():
                 got = filters._stage_pass_mask(*acf, bound, count, odd_only)
                 peaks = []
                 for r in rows:
-                    mags = filters.spectrum(r, count).values
+                    mags = filters.spectrum(r, count)
                     peaks.append((mags[1::2] if odd_only else mags).max())
                 want = np.array(peaks) <= bound
                 assert np.array_equal(got, want), (n, count, bound)
@@ -313,27 +318,29 @@ def test_half_join_equals_brute_force_composition():
         assert _join_all(n) == brute, f"n={n}"
 
 
-def test_single_precision_join_tables_keep_the_survivors(monkeypatch):
-    sched = filters.stage1_schedule()
-    for n in range(8, 15):
-        evens, odds = _halves(n)
-        default = filters.HalfJoin(n, evens, odds, sched).sweep(0, len(odds))
-        with monkeypatch.context() as m:
-            m.setattr(filters, "_COMPLEX64_THRESHOLD", -1)
-            assert filters.half_hall_columns(odds[:1], n, 128).dtype == np.complex64
-            single = filters.HalfJoin(n, evens, odds, sched).sweep(0, len(odds))
-        assert single == default, f"n={n}"
+# complex64 rounds the real and imaginary parts of h to 24-bit mantissas, so
+# a table entry is off by at most 2^-24 * |h| and its |h|^2 by at most
+# (2 + 2^-24) * 2^-24 * |h|^2; the float64 references add about 1e-14
+F32_ROUND = 2.0**-24
+F32_SQUARE_RTOL = (2 + F32_ROUND) * F32_ROUND
+REFERENCE_ATOL = 1e-12
+
+
+def _table_mags(mat):
+    """|h|^2 of complex64 table entries, squared in float64."""
+    return mat.real.astype(np.float64) ** 2 + mat.imag.astype(np.float64) ** 2
 
 
 def test_half_hall_columns_on_a_grid_coarser_than_n():
-    # at 8 points a length-10 polynomial must fold (z^8 = 1), not truncate
+    # at 8 points a length-10 polynomial wraps around (z^8 = 1)
     n, count = 10, 8
     evens, _ = _halves(n)
     mat = filters.half_hall_columns(evens, n, count)
+    assert mat.dtype == np.complex64
     for p, (m, j) in enumerate(filters.progressive_points(count)):
         z = complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
         direct = np.array([core.hall_eval(c, z) for c in evens])
-        assert np.allclose(mat[p], direct, rtol=0, atol=1e-9)
+        assert (np.abs(mat[p] - direct) <= F32_ROUND * np.abs(direct) + REFERENCE_ATOL).all()
     # so the join on that grid keeps everything the default grid keeps
     assert set(_join_all(n)) <= set(_join_all(n, filters.stage1_schedule(count)))
 
@@ -342,13 +349,57 @@ def test_half_hall_columns_match_single_spectra():
     n = 6
     sched = filters.preprocessing_schedule(n)
     cands = filters.enumerate_half_candidates(n, "even", sched)
-    cols = filters.progressive_columns(128)
+    cols = _grid_columns(128)
     mat = filters.half_hall_columns(cands, n, 128)  # (points, candidates)
     assert mat.shape == (len(cols), len(cands))
+    assert mat.dtype == np.complex64
     for r, c in enumerate(cands):
-        prof = filters.spectrum(c, 128)
-        mags = mat[:, r].real ** 2 + mat[:, r].imag ** 2
-        assert np.allclose(mags, prof.values[cols], rtol=0, atol=1e-9)
+        want = filters.spectrum(c, 128)[cols]
+        assert np.allclose(_table_mags(mat[:, r]), want, rtol=F32_SQUARE_RTOL, atol=REFERENCE_ATOL)
+
+
+def _largest_square_error(cands, n):
+    """Largest | |h|^2 of the table - |h|^2 by FFT | over cands' points."""
+    cols = _grid_columns(128)
+    mags = _table_mags(filters.half_hall_columns(cands, n, 128))
+    return max(np.abs(mags[:, r] - filters.spectrum(c, 128)[cols]).max() for r, c in enumerate(cands))
+
+
+def test_single_precision_tables_stay_far_inside_epsilon(checks):
+    # soundness rests on this: rounding must move |h|^2 by much less than
+    # the epsilon added to the bound 2n, or it could reject a true member
+    epsilon = filters.stage1_schedule().epsilon
+    evens, odds = _halves(16)
+    assert (len(evens), len(odds)) == CANDIDATE_COUNTS[16][:2]
+    assert _largest_square_error(evens + odds, 16) < epsilon / 10
+    members = [s for pair in checks.constructions(32) for s in pair]
+    halves = [core.split_even_odd(s) for s in members]
+    rows = members + [h for pair in halves for h in pair]
+    assert _largest_square_error(rows, 32) < epsilon / 10
+    # a join adds two complex64 columns and squares them in float32, as
+    # HalfJoin does; that too stays far inside epsilon
+    e_cols, o_cols = (filters.half_hall_columns(list(side), 32, 128) for side in zip(*halves))
+    h = e_cols + o_cols
+    cols = _grid_columns(128)
+    want = np.array([filters.spectrum(s, 128)[cols] for s in members]).T
+    assert np.abs((h.real**2 + h.imag**2) - want).max() < epsilon / 10
+
+
+@pytest.mark.parametrize("n", [20, 24, 32])
+def test_constructed_first_members_survive_both_filters(checks, n):
+    # the fail-able soundness checks above stop at n=10; these pairs exist
+    # at every length the constructions reach, moved or not
+    rng = random.Random(n)
+    pairs = checks.constructions(n)
+    pairs += [checks.random_moves(p, rng) for p in pairs for _ in range(2)]
+    pre, s1 = filters.preprocessing_schedule(n), filters.stage1_schedule()
+    for pair in pairs:
+        a, b = core.normalize(pair)
+        for s in (a, b):
+            for half in core.split_even_odd(s):
+                assert filters.passes_hall_filter(half, n, pre), (half, pair)
+        even, odd = core.split_even_odd(a)
+        assert filters.HalfJoin(n, [even], [odd], s1).sweep(0, 1) == [a], pair
 
 
 def test_half_scaled_sums_match_scalar_path():
