@@ -66,7 +66,11 @@ def _read_by_length(args):
             args.parser.error(f"cannot read {path}: {exc.strerror}")
         except pipeline.ArtifactError as exc:
             args.parser.error(str(exc))
-        for a, b in pairs:
+        for lineno, (a, b) in enumerate(pairs, start=1):
+            # build_omegas rejects a non-pair too, but cannot name its file
+            if not core.is_golay_pair((a, b)):
+                line = pipeline.pair_line(len(a), (a, b))
+                args.parser.error(f"{path}:{lineno}: not a Golay pair: {line!r}")
             by_length.setdefault(len(a), set()).add((a, b))
     return by_length
 

@@ -17,7 +17,7 @@ with work proportional to the shifts present, not to the sample grid.
 Shifts that vanish in every row are dropped (a half's odd shifts always
 do), and when the remaining shifts share a factor g the polynomial
 repeats after N/g of the N points, so only those are evaluated.  The
-float error is about 1e-14, far below the epsilon added to the bound, so
+float error is about 1e-14, far below the EPSILON added to the bound, so
 rejection is always sound.
 
 A second, fully exact test works on entry sums: for a pair member, the
@@ -26,24 +26,24 @@ of every ramp-scaled variant -- must extend to an integer solution of
 R^2 + I^2 + x^2 + y^2 = 2n.  Solvability is precomputed in a boolean
 table per |R|, |I|.
 
-Filter schedules list the sample counts to sweep, cheapest first.  The
-preprocessing schedule checks every root of unity at a coarse count n,
-then at a fine power of two.  The stage-1 schedule doubles from 8 up to
-its finest count, checking only odd-numbered sample points: every
-even point of one level already appeared at a coarser level, and the four
-points z = i^k are covered exactly by the entry-sum test, so nothing of
-value is skipped.
+The sample points are fixed, as module constants.  The half filter checks
+every root of unity at the coarse count n, then at FINE_SAMPLES = 2^14.
+The stage-1 join checks the PROGRESSIVE_POINTS: the odd-numbered points of
+the counts 8, 16, 32, 64 and 128, coarsest first, 124 in all.  Every even
+point of one count already appeared at a coarser count, and the four
+points z = i^k are covered exactly by the entry-sum test, so the join
+skips nothing of value on the 128-point grid.  Both filters reject only
+above 2n + EPSILON, EPSILON = 1e-3.
 
-This module owns the stage-1 join and its layout of sample points
-(progressive_points).  HalfJoin tabulates the halves' polynomials at those
-points once per run, as one product of the entry values with a table of
-z^k stored in single precision.  float32 rounding moves a tabulated |h|^2
-by a relative 2^-23 at most; with the join's sum and square also in
-float32 the error stays near 1e-5 at the bound 2n = 64, far below the
-1e-3 epsilon.  It groups the halves by their four scaled entry sums and
-decides the entry-sum test once per pair of classes, so each join costs a
-table lookup before the spectral slices; sweeps then run over spans of odd
-halves against every even half, and the pipeline only hands out the spans.
+HalfJoin tabulates the halves' polynomials at the progressive points once
+per run, as one product of the entry values with a table of z^k stored in
+single precision.  float32 rounding moves a tabulated |h|^2 by a relative
+2^-23 at most; with the join's sum and square also in float32 the error
+stays near 1e-5 at the bound 2n = 64, far below EPSILON.  It groups the
+halves by their four scaled entry sums and decides the entry-sum test once
+per pair of classes, so each join costs a table lookup before the spectral
+slices; sweeps then run over spans of odd halves against every even half,
+and the pipeline only hands out the spans.
 """
 
 from __future__ import annotations
@@ -55,49 +55,15 @@ import numpy as np
 
 from cgolay import core
 
-@dataclass(frozen=True)
-class FilterSchedule:
-    """Ordered spectral sweeps: (sample_count, odd_points_only) stages."""
+# both filters reject only where the sampled |h|^2 exceeds 2n + EPSILON
+EPSILON = 1e-3
 
-    stages: tuple
-    epsilon: float = 1e-3
+# the half filter checks every point at the coarse count n, then at this count
+FINE_SAMPLES = 2**14
 
-    def __post_init__(self):
-        if not self.stages:
-            raise ValueError("schedule needs at least one stage")
-        counts = [n for n, _ in self.stages]
-        if any(c < 1 for c in counts):
-            raise ValueError("sample counts must be positive")
-        if any(b >= a for a, b in zip(counts[1:], counts)):
-            raise ValueError("sample counts must be strictly increasing")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-
-
-def preprocessing_schedule(n, dft_samples=2**14, epsilon=1e-3):
-    """Half-candidate schedule: all points at count n, then at dft_samples."""
-    if dft_samples > n:
-        stages = ((n, False), (dft_samples, False))
-    else:
-        stages = ((n, False),)
-    return FilterSchedule(stages, epsilon)
-
-
-def stage1_schedule(dft_samples=2**7, epsilon=1e-3):
-    """Joined-candidate schedule: odd points only, doubling 8..dft_samples."""
-    if dft_samples < 8 or dft_samples & (dft_samples - 1):
-        raise ValueError("stage-1 sample count must be a power of two >= 8")
-    counts = []
-    m = 8
-    while m <= dft_samples:
-        counts.append(m)
-        m *= 2
-    return FilterSchedule(tuple((c, True) for c in counts), epsilon)
-
-
-def progressive_points(dft_samples):
-    """The (sample_count, j) pairs a stage-1 schedule visits, in order."""
-    return [(m, j) for m, _ in stage1_schedule(dft_samples).stages for j in range(1, m, 2)]
+# the stage-1 join's points (m, j), z = e^(2*pi*i*j/m): the odd points of
+# each doubling count, coarsest first
+PROGRESSIVE_POINTS = tuple((m, j) for m in (8, 16, 32, 64, 128) for j in range(1, m, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +115,26 @@ def _autocorrelations(vals):
     return c[:, 0].real.astype(np.float64), shifts, coef.astype(np.float64)
 
 
-def _power_table(shifts, sample_count, odd_only):
-    """cos/sin rows, one per shift, at the distinct points a stage must visit.
+def _power_table(shifts, sample_count):
+    """cos/sin rows, one per shift, at the distinct points of a sample count.
 
     Point j stands for z = e^(2*pi*i*j/N).  With every shift a multiple of
     g the polynomial has period N / gcd(g, N) in j, so points are reduced
     modulo that period and evaluated once.
     """
-    points = np.arange(1 if odd_only else 0, sample_count, 2 if odd_only else 1)
     period = sample_count // math.gcd(sample_count, *shifts.tolist())
-    points = np.unique(points % period)
+    points = np.unique(np.arange(sample_count) % period)
     # reduce s*j mod N in integers so every angle lies in [0, 2*pi)
     angle = (2 * np.pi / sample_count) * ((shifts[:, None] * points[None, :]) % sample_count)
     return np.concatenate([np.cos(angle), np.sin(angle)])
 
 
-def _stage_pass_mask(c0, shifts, coef, bound, sample_count, odd_only):
+def _stage_pass_mask(c0, shifts, coef, bound, sample_count):
     """Row mask of candidates whose sampled |h|^2 never exceeds bound.
 
     Takes the rows' _autocorrelations; |h|^2 = c_0 + 2 * (coef @ table).
     """
-    table = _power_table(shifts, sample_count, odd_only)
+    table = _power_table(shifts, sample_count)
     out = np.empty(coef.shape[0], dtype=bool)
     # chunk the rows so the product stays inside 2^21 elements (~16MB)
     step = max(1, (1 << 21) // table.shape[1])
@@ -179,18 +144,29 @@ def _stage_pass_mask(c0, shifts, coef, bound, sample_count, odd_only):
     return out
 
 
-def passes_hall_filter(seq, n, schedule):
-    """True iff the sampled spectral bound 2n + epsilon is never exceeded.
+def _hall_survivors(vals, n):
+    """Indices of the rows of vals whose |h|^2 stays within 2n + EPSILON.
+
+    Every point at the coarse count n is checked, then every point at
+    FINE_SAMPLES on the rows still alive.
+    """
+    c0, shifts, coef = _autocorrelations(vals)
+    alive = np.arange(vals.shape[0])
+    for sample_count in (n, FINE_SAMPLES) if FINE_SAMPLES > n else (n,):
+        keep = _stage_pass_mask(c0[alive], shifts, coef[alive], 2 * n + EPSILON, sample_count)
+        alive = alive[keep]
+        if alive.size == 0:
+            break
+    return alive
+
+
+def passes_hall_filter(seq, n):
+    """True iff the half filter's sampled bound 2n + EPSILON is never exceeded.
 
     Sound for pair membership: a rejected sequence can belong to no Golay
     pair of length n, whether seq is a full sequence or a masked half.
     """
-    c0, shifts, coef = _autocorrelations(_values_matrix([seq], len(seq)))
-    bound = 2 * n + schedule.epsilon
-    for sample_count, odd_only in schedule.stages:
-        if not _stage_pass_mask(c0, shifts, coef, bound, sample_count, odd_only)[0]:
-            return False
-    return True
+    return _hall_survivors(_values_matrix([seq], len(seq)), n).size == 1
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +268,8 @@ def _half_value_matrix(exps, slots, n):
     return vals
 
 
-def enumerate_half_candidates(n, parity, schedule):
-    """Masked half-sequences of one parity surviving the spectral sweeps.
+def enumerate_half_candidates(n, parity):
+    """Masked half-sequences of one parity surviving the half filter.
 
     Returns masked sequences of full length n whose nonzero slots sit at
     even (or odd) indices, leading nonzero entry 1, in lexicographic
@@ -305,14 +281,7 @@ def enumerate_half_candidates(n, parity, schedule):
     if not slots:
         return []
     exps = _mixed_radix_matrix(_slot_choices(slots, parity))
-    c0, shifts, coef = _autocorrelations(_half_value_matrix(exps, slots, n))
-    bound = 2 * n + schedule.epsilon
-    alive = np.arange(exps.shape[0])
-    for sample_count, odd_only in schedule.stages:
-        keep = _stage_pass_mask(c0[alive], shifts, coef[alive], bound, sample_count, odd_only)
-        alive = alive[keep]
-        if alive.size == 0:
-            break
+    alive = _hall_survivors(_half_value_matrix(exps, slots, n), n)
     out = []
     for r in alive:
         row = [None] * n
@@ -326,20 +295,21 @@ def enumerate_half_candidates(n, parity, schedule):
 # stage-1 join filter
 
 
-def half_hall_columns(cands, n, dft_samples):
-    """Half polynomials at the progressive points, as complex64.
+def half_hall_columns(cands, n):
+    """Half polynomials at the PROGRESSIVE_POINTS, as complex64.
 
     One product of each chunk's entry values with a table of z^k, k < n,
     evaluates the chunk; z^k's angle is reduced modulo the point's sample
     count in integers, so a length above the count needs no fold.  The
     product runs in double precision and is rounded once on storing, so
     an entry is off by at most 2^-24 * |h|.  Returns an array of shape
-    (points, candidates), points in progressive_points order.
+    (points, candidates), points in PROGRESSIVE_POINTS order.
     """
-    m, j = np.array(progressive_points(dft_samples)).T[:, :, None]
+    m, j = np.array(PROGRESSIVE_POINTS).T[:, :, None]
     powers = np.exp((2j * np.pi / m) * ((j * np.arange(n)) % m))
     out = np.empty((powers.shape[0], len(cands)), dtype=np.complex64)
-    step = max(1, (1 << 21) // dft_samples)
+    # chunk the candidates so the product stays near 2^21 elements
+    step = 1 << 14
     for lo in range(0, len(cands), step):
         out[:, lo : lo + step] = powers @ _values_matrix(cands[lo : lo + step], n).T
     return out
@@ -360,9 +330,9 @@ def half_scaled_sums(cands):
     return out
 
 
-def _count_slices(dft_samples):
-    """One slice of the progressive point axis per sample count, coarsest first."""
-    counts = [m for m, _ in progressive_points(dft_samples)]
+def _count_slices():
+    """One slice of the PROGRESSIVE_POINTS axis per sample count, coarsest first."""
+    counts = [m for m, _ in PROGRESSIVE_POINTS]
     starts = [k for k in range(len(counts)) if k == 0 or counts[k] != counts[k - 1]]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(counts)])]
 
@@ -387,28 +357,27 @@ def _sum_classes(cands):
 class HalfJoin:
     """The stage-1 join of every even half with the given odd halves.
 
-    Construction computes both halves' spectra at the progressive points,
+    Construction computes both halves' spectra at the PROGRESSIVE_POINTS,
     once.  It also groups each side by its four scaled entry sums and
     decides the squares-table test once per (odd class, even class) pair:
     a join's scaled sums are the sum of its halves', so the verdict depends
     on the classes alone.  sweep() then tests joins one span of odd halves
     at a time.  A joined candidate survives when its four scaled entry sums
-    pass the squares table and its sampled |h|^2 stays within 2n + epsilon
-    at every point of the schedule.  Halves' values add, so a join's
+    pass the squares table and its sampled |h|^2 stays within 2n + EPSILON
+    at every one of those points.  Halves' values add, so a join's
     spectrum is the sum of two table columns.
 
     odds may be any span of join_odds(n, all_odds), such as one shard's;
     only that span is tabulated.
     """
 
-    def __init__(self, n, evens, odds, schedule):
-        dft_samples = schedule.stages[-1][0]
+    def __init__(self, n, evens, odds):
         self._evens = evens
         self._odds = odds
-        self._bound = 2 * n + schedule.epsilon
-        self._slices = _count_slices(dft_samples)
-        self._e_cols = half_hall_columns(evens, n, dft_samples)
-        self._o_cols = half_hall_columns(odds, n, dft_samples)
+        self._bound = 2 * n + EPSILON
+        self._slices = _count_slices()
+        self._e_cols = half_hall_columns(evens, n)
+        self._o_cols = half_hall_columns(odds, n)
         e_keys, self._e_class = _sum_classes(evens)
         o_keys, self._o_class = _sum_classes(odds)
         sums = np.abs(o_keys[:, None] + e_keys[None, :])

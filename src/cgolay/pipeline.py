@@ -24,8 +24,10 @@ each other's files.  A stage is therefore done exactly when its artifact
 exists: both half lists for preprocessing, L_A for stage 1, pairs for
 stage 2.  The filter settings are fixed in filters, and n and the shard
 are in every file name, so an existing artifact is always the one this
-run would write; deleting a file (or the directory) recomputes it.  No
-artifact records timings, so a rerun reproduces every file byte for byte.
+run would write; deleting a file (or the directory) recomputes it.  A
+reloaded candidate list must still have the shape this run would write
+(read_candidates).  No artifact records timings, so a rerun reproduces
+every file byte for byte.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def _write_atomic(path, text):
 
 
 class ArtifactError(ValueError):
-    """An artifact that does not decode or parse; the message names path[:line]."""
+    """An artifact that does not decode, parse or check; the message names path[:line]."""
 
 
 def _read_lines(path, parse):
@@ -124,8 +126,24 @@ def write_candidates(path, cands):
     _write_atomic(path, "".join(core.to_text(c) + "\n" for c in cands))
 
 
-def read_candidates(path):
-    return _read_lines(path, core.from_text)
+def read_candidates(path, n, parity=None):
+    """Reload a candidate list of length n, checking each line's shape.
+
+    A half list (parity 'even' or 'odd') must be masked exactly at the
+    other parity's slots, a first-member list (parity None) nowhere.
+    """
+    masked = tuple(parity is not None and k % 2 != (parity == "odd") for k in range(n))
+    kind = f"an {parity} half" if parity else "a first member"
+
+    def parse(line):
+        seq = core.from_text(line)
+        if len(seq) != n:
+            raise ValueError(f"length {len(seq)}, expected {n}: {line!r}")
+        if tuple(c is None for c in seq) != masked:
+            raise ValueError(f"masked slots are not those of {kind}: {line!r}")
+        return seq
+
+    return _read_lines(path, parse)
 
 
 def pair_line(n, pair):
@@ -196,7 +214,7 @@ def _run_chunked(worker, total, workers):
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(min(workers, len(spans))) as pool:
             results = pool.map(worker, spans)
     merged = []
     for chunk in results:
@@ -216,10 +234,12 @@ def run_preprocessing(cfg):
     the others reload them.
     """
     if cfg.path_even().exists() and cfg.path_odd().exists():
-        return read_candidates(cfg.path_even()), read_candidates(cfg.path_odd())
-    schedule = filters.preprocessing_schedule(cfg.n)
-    evens = filters.enumerate_half_candidates(cfg.n, "even", schedule)
-    odds = filters.enumerate_half_candidates(cfg.n, "odd", schedule)
+        return (
+            read_candidates(cfg.path_even(), cfg.n, "even"),
+            read_candidates(cfg.path_odd(), cfg.n, "odd"),
+        )
+    evens = filters.enumerate_half_candidates(cfg.n, "even")
+    odds = filters.enumerate_half_candidates(cfg.n, "odd")
     write_candidates(cfg.path_even(), evens)
     write_candidates(cfg.path_odd(), odds)
     return evens, odds
@@ -228,10 +248,10 @@ def run_preprocessing(cfg):
 def run_stage1(cfg, evens, odds):
     """First members surviving the join filters, for this shard of the odds."""
     if cfg.path_survivors().exists():
-        return read_candidates(cfg.path_survivors())
+        return read_candidates(cfg.path_survivors(), cfg.n)
     odds = filters.join_odds(cfg.n, odds)
     lo, hi = shard_span(len(odds), cfg.shards, cfg.shard_index)
-    join = filters.HalfJoin(cfg.n, evens, odds[lo:hi], filters.stage1_schedule())
+    join = filters.HalfJoin(cfg.n, evens, odds[lo:hi])
     global _WORK
     _WORK = {"join": join}
     survivors = _run_chunked(_stage1_worker, join.odd_count, cfg.workers)

