@@ -3,9 +3,10 @@
 The package enumerates, for a given length n, every pair of quaternary
 sequences (entries among the fourth roots of unity) whose aperiodic
 autocorrelations cancel at every nonzero shift.  The search runs in
-stages: exact and spectral filters cut the candidate space, a
-depth-first search over mirror pairs of entries finds all partners of
-each surviving candidate (checked in the tests against the paper's
+stages: exact and spectral filters cut the candidate space, a join of
+the surviving candidates with their own ramps and conjugates on
+autocorrelation keys finds all partners of each (checked in the tests
+against a depth-first partner search, itself checked against the paper's
 programmatic SAT formulation), and a postprocessing step expands the
 normalized results to full counts via the pair-preserving equivalence
 operations.

@@ -26,7 +26,7 @@ def _add_enumerate(sub):
     p.add_argument("--out", type=Path, default=Path("runs"), help="artifact directory")
     p.add_argument("--shards", type=int, default=1, help="total shard count")
     p.add_argument("--shard-index", type=int, default=1, help="1-based shard to run")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.add_argument("--workers", type=int, default=1, help="worker processes for stage 1")
 
 
 def _add_inputs(p):
@@ -66,11 +66,7 @@ def _read_by_length(args):
             args.parser.error(f"cannot read {path}: {exc.strerror}")
         except pipeline.ArtifactError as exc:
             args.parser.error(str(exc))
-        for lineno, (a, b) in enumerate(pairs, start=1):
-            # build_omegas rejects a non-pair too, but cannot name its file
-            if not core.is_golay_pair((a, b)):
-                line = pipeline.pair_line(len(a), (a, b))
-                args.parser.error(f"{path}:{lineno}: not a Golay pair: {line!r}")
+        for a, b in pairs:
             by_length.setdefault(len(a), set()).add((a, b))
     return by_length
 
@@ -105,6 +101,9 @@ def _cmd_enumerate(args):
     t0 = _cpu_seconds()
     try:
         pipeline.enumerate_pairs(cfg)
+    except pipeline.ShardWaiting as exc:
+        print(f"shard {cfg.shard_index} of {cfg.shards}: {exc}; rerun this shard once they exist")
+        return 0
     except pipeline.ArtifactError as exc:
         args.parser.error(str(exc))
     except MemoryError:

@@ -1,16 +1,21 @@
 """Partner search for a fixed first sequence, and its SAT reference.
 
+The pipeline does not search: its stage 2 finds the partners of the
+first members by joining L_A with itself (pipeline.partner_join).
+find_partners serves partner queries for any sequence, and it is the
+reference the tests hold that join to.
+
 Given a first sequence A over the fourth roots of unity, the partner B must
 cancel A's aperiodic autocorrelation at every nonzero shift.  The largest
 shift constrains only the outermost entries: the real part of A's
 shift-(n-1) correlation forces b_0 * conj(b_{n-1}) into a known parity
 class, and the same applies inward to every mirror pair (k, n-1-k).
 
-find_partners, the production search, is a depth-first search over entry
-exponents.  It pins b_0 = 1 and places one mirror pair at a time: b_k
-takes any value, b_{n-1-k} only the two of the right parity.  Once pair k
-is placed, the window of shift n-1-k is complete, so that shift is checked
-at once and a mismatch prunes the subtree.  The middle entry of odd n and
+find_partners is a depth-first search over entry exponents.  It pins
+b_0 = 1 and places one mirror pair at a time: b_k takes any value,
+b_{n-1-k} only the two of the right parity.  Once pair k is placed, the
+window of shift n-1-k is complete, so that shift is checked at once and
+a mismatch prunes the subtree.  The middle entry of odd n and
 the shifts below n/2 are checked on the full assignment.
 
 The rest of the module is the paper's programmatic-SAT formulation of the

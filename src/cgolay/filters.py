@@ -94,13 +94,13 @@ def spectrum(seq, sample_count):
     return row.real**2 + row.imag**2
 
 
-def _autocorrelations(vals):
-    """(c_0, shifts, coef) of every row's aperiodic autocorrelation c_s.
+def autocorrelation_matrix(vals):
+    """Every row's aperiodic autocorrelation c_s, s = 0..n-1, as complex64.
 
-    c_s = sum_k a_k * conj(a_(k+s)), the core.autocorr convention.  shifts
-    lists the s >= 1 where some row has c_s != 0; coef holds Re c_s for
-    those shifts, then Im c_s.  Entries are fourth roots of unity or 0, so
-    every value is a small integer and exact in float64.
+    c_s = sum_k a_k * conj(a_(k+s)), the core.autocorr convention.  Entries
+    are fourth roots of unity or 0, so every c_s is a small Gaussian
+    integer.  The half filter and stage 2's self-join
+    (pipeline.partner_join) both take their autocorrelations from here.
     """
     rows, n = vals.shape
     # complex64 holds the small integers exactly; chunk rows to bound temporaries
@@ -110,6 +110,16 @@ def _autocorrelations(vals):
         v = vals[lo : lo + step]
         for s in range(n):
             c[lo : lo + step, s] = (v[:, : n - s] * v[:, s:].conj()).sum(axis=1)
+    return c
+
+
+def _autocorrelations(vals):
+    """(c_0, shifts, coef) of every row's aperiodic autocorrelation c_s.
+
+    shifts lists the s >= 1 where some row has c_s != 0; coef holds Re c_s
+    for those shifts, then Im c_s, exact in float64.
+    """
+    c = autocorrelation_matrix(vals)
     shifts = np.nonzero((c[:, 1:] != 0).any(axis=0))[0] + 1
     coef = np.concatenate([c[:, shifts].real, c[:, shifts].imag], axis=1)
     return c[:, 0].real.astype(np.float64), shifts, coef.astype(np.float64)

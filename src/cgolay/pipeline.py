@@ -1,4 +1,4 @@
-"""End-to-end enumeration: half candidates, join filtering, partner search.
+"""End-to-end enumeration: half candidates, join filtering, partner join.
 
 A run for length n proceeds in three stages, each persisted to disk so an
 interrupted or repeated invocation picks up whatever already exists:
@@ -12,9 +12,10 @@ interrupted or repeated invocation picks up whatever already exists:
    sweep (file L_A).  The odd axis is the work loop: a shard takes one
    contiguous span of it, filters.HalfJoin builds the half tables for that
    span once, before any worker forks, and worker chunks only sweep;
-3. stage 2 -- for each surviving first member, enumerate all partners with
-   encoding.find_partners, a depth-first search over mirror pairs of
-   entries (file pairs).
+3. stage 2 -- join L_A with itself on autocorrelations (partner_join,
+   file pairs), in the calling process.  A shard joins its own L_A with
+   every shard's L_A file in the directory; until all of them exist it
+   stops after stage 1 (ShardWaiting), and a rerun runs stage 2 alone.
 
 All persisted lists are sorted, so outputs are byte-reproducible and the
 union of shard outputs equals the unsharded output.  Each write goes
@@ -26,18 +27,21 @@ stage 2.  The filter settings are fixed in filters, and n and the shard
 are in every file name, so an existing artifact is always the one this
 run would write; deleting a file (or the directory) recomputes it.  A
 reloaded candidate list must still have the shape this run would write
-(read_candidates).  No artifact records timings, so a rerun reproduces
-every file byte for byte.
+(read_candidates), and reloaded pairs must be sorted Golay pairs of
+length n whose first members are in this run's L_A (read_pairs).  No
+artifact records timings, so a rerun reproduces every file byte for byte.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import core, encoding, filters
+import numpy as np
+
+from . import core, filters
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,27 @@ def write_pairs(path, n, pairs):
     _write_atomic(path, "".join(pair_line(n, p) + "\n" for p in pairs))
 
 
-def read_pairs(path):
-    return _read_lines(path, parse_pair_line)
+def read_pairs(path, n=None, firsts=None):
+    """Reload a pair file of Golay pairs.  With a run's n and L_A (firsts),
+    the lines must also be sorted, unique, of length n and start in firsts."""
+    last = None
+
+    def parse(line):
+        nonlocal last
+        pair = parse_pair_line(line)
+        if n is not None:
+            if len(pair[0]) != n:
+                raise ValueError(f"length {len(pair[0])}, expected {n}: {line!r}")
+            if last is not None and pair <= last:
+                raise ValueError(f"not sorted after the line before, or repeated: {line!r}")
+        if firsts is not None and pair[0] not in firsts:
+            raise ValueError(f"first member not in this run's L_A: {line!r}")
+        if not core.is_golay_pair(pair):
+            raise ValueError(f"not a Golay pair: {line!r}")
+        last = pair
+        return pair
+
+    return _read_lines(path, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +217,6 @@ _WORK = {}
 
 def _stage1_worker(span):
     return _WORK["join"].sweep(*span)
-
-
-def _stage2_worker(span):
-    lo, hi = span
-    out = []
-    for a in _WORK["survivors"][lo:hi]:
-        out.extend((a, b) for b in encoding.find_partners(a))
-    return out
 
 
 def _run_chunked(worker, total, workers):
@@ -261,15 +276,85 @@ def run_stage1(cfg, evens, odds):
     return survivors
 
 
-def run_stage2(cfg, survivors):
-    """All normalized pairs whose first member is in the survivor list."""
-    if cfg.path_pairs().exists():
-        return read_pairs(cfg.path_pairs())
-    global _WORK
-    _WORK = {"survivors": survivors}
-    pairs = _run_chunked(_stage2_worker, len(survivors), cfg.workers)
-    _WORK = {}
+# i^(-u) by u mod 4: a ramp by i^t multiplies c_s by i^(-t*s)
+_ROTATIONS = np.array([1, -1j, -1, 1j], dtype=np.complex64)
+
+
+def _correlations(seqs, n):
+    """Entry exponents of full sequences, and their c_s for s = 1..n-1."""
+    exps = np.array(seqs, dtype=np.int8).reshape(len(seqs), n)
+    return exps, filters.autocorrelation_matrix(np.array(core.ENTRY_VALUES)[exps])[:, 1:]
+
+
+def _key_bytes(c):
+    """One exact hash key per row of an autocorrelation matrix."""
+    keys = np.rint(np.concatenate([c.real, c.imag], axis=1)).astype(np.int32)
+    return [row.tobytes() for row in keys]
+
+
+def partner_join(n, firsts, members):
+    """All normalized pairs (A, B) with A in firsts, sorted.
+
+    members must hold every normalized first member of length n (all of
+    L_A).  Swapping a pair (E3) and normalizing it only scales, ramps and
+    maybe conjugates its second member, so every partner B with b_0 = 1
+    is ramp^t(X) or ramp^t(conj X) for some X in members and t in 0..3.
+    One autocorrelation matrix of the members keys all 8 candidates, as
+    c_s(ramp^t X) = i^(-ts) c_s(X) and c(conj X) = conj c(X), and each A
+    looks up -c(A).  Every hit is re-verified with exact arithmetic.
+    """
+    if not firsts or not members:
+        return []
+    shifts = np.arange(1, n)
+    exps, c = _correlations(members, n)
+    rows, keys = [], []
+    for sign, cs in ((1, c), (-1, c.conj())):
+        for t in range(4):
+            rows.append((sign * exps + t * np.arange(n)) & 3)
+            keys.append(cs * _ROTATIONS[t * shifts % 4])
+    # equal candidates have equal keys: keep one of each
+    rows, first = np.unique(np.concatenate(rows), axis=0, return_index=True)
+    table = {}
+    for row, key in enumerate(_key_bytes(np.concatenate(keys)[first])):
+        table.setdefault(key, []).append(row)
+    pairs = []
+    for a, key in zip(firsts, _key_bytes(-_correlations(firsts, n)[1])):
+        for row in table.get(key, ()):
+            pair = (a, tuple(rows[row].tolist()))
+            if not core.is_golay_pair(pair):
+                raise RuntimeError(f"self-join produced a non-pair {pair!r}")
+            pairs.append(pair)
     pairs.sort()
+    return pairs
+
+
+class ShardWaiting(Exception):
+    """A shard's stage 2 needs every shard's L_A; .missing lists those not yet written."""
+
+    def __init__(self, missing):
+        super().__init__("stage 2 waits for " + ", ".join(str(p) for p in missing))
+        self.missing = missing
+
+
+def run_stage2(cfg, survivors):
+    """All normalized pairs whose first member is in the survivor list.
+
+    The partners come from partner_join over all of L_A: for a shard, the
+    union of every shard's L_A file in the directory.  While one of those
+    is missing, a shard raises ShardWaiting and writes nothing.
+    """
+    if cfg.path_pairs().exists():
+        return read_pairs(cfg.path_pairs(), cfg.n, set(survivors))
+    members = survivors
+    if cfg.shards > 1:
+        paths = [
+            replace(cfg, shard_index=k).path_survivors() for k in range(1, cfg.shards + 1)
+        ]
+        missing = [p for p in paths if not p.exists()]
+        if missing:
+            raise ShardWaiting(missing)
+        members = [m for p in paths for m in read_candidates(p, cfg.n)]
+    pairs = partner_join(cfg.n, survivors, members)
     write_pairs(cfg.path_pairs(), cfg.n, pairs)
     return pairs
 

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cgolay import core, oracle, pipeline, postprocess
+from cgolay import core, encoding, oracle, pipeline, postprocess
 from cgolay.progsat import Solver
 from conftest import record_criterion
 from expected_counts import CANDIDATE_COUNTS, PAIR_COUNTS
@@ -103,6 +103,20 @@ def test_criterion_3_oracle_agreement(runs):
     )
     assert pair_mismatch == [] and closure_mismatch == []
     assert cpu < ORACLE_BUDGET_SECONDS
+
+
+def test_self_join_equals_the_partner_search(runs):
+    # stage 2 finds partners among L_A's ramps and conjugates; the reference
+    # searches each member's partners directly, so it also finds a pair
+    # whose partner's normal form is missing from L_A
+    mismatches = []
+    for n in FULL_RANGE:
+        cfg = runs["per_n"][n]["cfg"]
+        survivors = pipeline.read_candidates(cfg.path_survivors(), n)
+        expected = [(a, b) for a in survivors for b in encoding.find_partners(a)]
+        if runs["per_n"][n]["pairs"] != expected:
+            mismatches.append(n)
+    assert mismatches == []
 
 
 def _soundness_gaps(n, evens, odds, survivors, truth):
@@ -274,11 +288,20 @@ def test_criterion_8_determinism_and_shards(runs, tmp_path_factory):
 
     union_pairs = []
     union_survivors = []
-    for k in range(1, 5):
-        cfg = pipeline.RunConfig(
-            n=n, out_dir=fresh_dir / "shards", shards=4, shard_index=k
-        )
+    shards = [
+        pipeline.RunConfig(n=n, out_dir=fresh_dir / "shards", shards=4, shard_index=k)
+        for k in range(1, 5)
+    ]
+    waiting = []
+    for cfg in shards:
+        try:
+            union_pairs.extend(pipeline.enumerate_pairs(cfg))
+        except pipeline.ShardWaiting:
+            waiting.append(cfg)
+    # the shards that waited for a sibling's first members run stage 2 now
+    for cfg in waiting:
         union_pairs.extend(pipeline.enumerate_pairs(cfg))
+    for cfg in shards:
         union_survivors.extend(pipeline.read_candidates(cfg.path_survivors(), n))
     shard_union_ok = sorted(union_pairs) == runs["per_n"][n]["pairs"] and sorted(
         union_survivors

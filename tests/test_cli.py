@@ -25,17 +25,24 @@ def test_enumerate_writes_and_prints_report(tmp_path, capsys):
 
 def test_enumerate_sharded(tmp_path, capsys):
     out = tmp_path / "runs"
-    for k in ("1", "2"):
-        assert (
-            run_cli(
-                "enumerate", "--n", "4", "--out", str(out),
-                "--shards", "2", "--shard-index", k,
-            )
-            == 0
-        )
+    argv = ["enumerate", "--n", "4", "--out", str(out), "--shards", "2", "--shard-index"]
+    # shard 1 finishes stage 1 and waits for shard 2's first members
+    assert run_cli(*argv, "1") == 0
+    assert capsys.readouterr().out == (
+        f"shard 1 of 2: stage 2 waits for {out / 'L_A_n4.shard2of2.txt'}; "
+        "rerun this shard once they exist\n"
+    )
+    assert not (out / "pairs_n4.shard1of2.txt").exists()
+    assert not (out / "report_n4.shard1of2.txt").exists()
+    assert run_cli(*argv, "2") == 0
+    assert "pairs_normalized=" in capsys.readouterr().out
+    assert run_cli(*argv, "1") == 0
+    assert "pairs_normalized=" in capsys.readouterr().out
     lines = []
     for k in ("1", "2"):
         lines.extend((out / f"pairs_n4.shard{k}of2.txt").read_text().splitlines())
+    run_cli("enumerate", "--n", "4", "--out", str(tmp_path / "full"))
+    assert sorted(lines) == sorted((tmp_path / "full" / "pairs_n4.txt").read_text().splitlines())
     assert len(lines) == 6
 
 
@@ -136,9 +143,21 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
         (4, "L_A_n4.txt", "++-+\n++x+\n", "bad sequence character 'x' in '++x+'"),
         (3, "L_A_n3.txt", "++-\n++-+\n", "length 4, expected 3: '++-+'"),
         (3, "L_A_n3.txt", "+0-\n", "masked slots are not those of a first member: '+0-'"),
+        (3, "pairs_n3.txt", "4\t+++-\t++-+\n", "length 4, expected 3: '4\\t+++-\\t++-+'"),
+        (
+            3, "pairs_n3.txt", "3\t++-\t+j+\n3\t++-\t+i+\n",
+            "not sorted after the line before, or repeated: '3\\t++-\\t+i+'",
+        ),
+        (
+            3, "pairs_n3.txt", "3\t++-\t+i+\n3\t++-\t+i+\n",
+            "not sorted after the line before, or repeated: '3\\t++-\\t+i+'",
+        ),
+        (3, "pairs_n3.txt", "3\t+i+\t++-\n", "first member not in this run's L_A: '3\\t+i+\\t++-'"),
+        (3, "pairs_n3.txt", "3\t++-\t+++\n", "not a Golay pair: '3\\t++-\\t+++'"),
     ],
     ids=["pairs-garbage", "first-members-bad-character", "first-members-too-long",
-         "first-members-masked"],
+         "first-members-masked", "pairs-other-length", "pairs-unsorted", "pairs-repeated",
+         "pairs-first-member-not-in-L_A", "pairs-non-pair"],
 )
 def test_malformed_artifact_is_a_usage_error(tmp_path, capsys, n, name, text, message):
     out = tmp_path / "runs"
@@ -244,7 +263,8 @@ def test_postprocess_writes_census(tmp_path, capsys):
 
 def test_postprocess_accepts_shard_files(tmp_path, capsys):
     runs = tmp_path / "runs"
-    for k in ("1", "2"):
+    # shard 1 waits for shard 2's first members, so it runs again after it
+    for k in ("1", "2", "1"):
         run_cli(
             "enumerate", "--n", "4", "--out", str(runs),
             "--shards", "2", "--shard-index", k,

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cgolay import encoding, filters, oracle, pipeline
+from cgolay import filters, oracle, pipeline
 from cgolay.pipeline import RunConfig, shard_span
 
 
@@ -58,14 +58,14 @@ def test_rerun_is_resumed_and_byte_identical(tmp_path, monkeypatch):
     calls = []
     count_calls(monkeypatch, filters, "enumerate_half_candidates", calls)
     count_calls(monkeypatch, filters, "half_hall_columns", calls)
-    count_calls(monkeypatch, encoding, "find_partners", calls)
+    count_calls(monkeypatch, pipeline, "partner_join", calls)
     cfg = RunConfig(n=4, out_dir=run_dir(tmp_path, "n4"))
     pipeline.enumerate_pairs(cfg)
     first = artifact_bytes(cfg)
     assert sorted(first) == [
         "L_A_n4.txt", "L_even_n4.txt", "L_odd_n4.txt", "pairs_n4.txt", "report_n4.txt",
     ]
-    assert set(calls) == {"enumerate_half_candidates", "half_hall_columns", "find_partners"}
+    assert set(calls) == {"enumerate_half_candidates", "half_hall_columns", "partner_join"}
 
     # a stage is done when its artifact exists: a rerun recomputes nothing
     calls.clear()
@@ -81,7 +81,7 @@ def test_rerun_is_resumed_and_byte_identical(tmp_path, monkeypatch):
     calls.clear()
     cfg.path_pairs().unlink()
     pipeline.enumerate_pairs(cfg)
-    assert calls and set(calls) == {"find_partners"}
+    assert calls == ["partner_join"]
     assert artifact_bytes(cfg) == first
 
 
@@ -93,14 +93,29 @@ def test_fresh_runs_are_byte_identical(tmp_path):
     assert artifact_bytes(a) == artifact_bytes(b)
 
 
+def run_shards(n, out_dir, shards):
+    """Run every shard in turn, then rerun those that waited for a sibling's L_A.
+
+    Returns the pairs of each shard, by shard index."""
+    pairs = {}
+    for k in list(range(1, shards + 1)) * 2:
+        if k not in pairs:
+            cfg = RunConfig(n=n, out_dir=out_dir, shards=shards, shard_index=k)
+            try:
+                pairs[k] = pipeline.enumerate_pairs(cfg)
+            except pipeline.ShardWaiting:
+                pass
+    return pairs
+
+
 def test_shard_union_equals_full_run(tmp_path):
     full = RunConfig(n=6, out_dir=run_dir(tmp_path, "full"))
     pipeline.enumerate_pairs(full)
     union = []
     survivors = []
-    for k in (1, 2, 3):
-        cfg = RunConfig(n=6, out_dir=run_dir(tmp_path, "shards"), shards=3, shard_index=k)
-        union.extend(pipeline.enumerate_pairs(cfg))
+    for k, pairs in run_shards(6, run_dir(tmp_path, "shards"), 3).items():
+        cfg = RunConfig(n=6, out_dir=tmp_path / "shards", shards=3, shard_index=k)
+        union.extend(pairs)
         survivors.extend(pipeline.read_candidates(cfg.path_survivors(), 6))
     assert sorted(union) == pipeline.read_pairs(full.path_pairs())
     assert sorted(survivors) == pipeline.read_candidates(full.path_survivors(), 6)
@@ -156,8 +171,7 @@ def test_shards_of_one_directory_share_the_half_lists(tmp_path, monkeypatch):
 
     monkeypatch.setattr(filters, "enumerate_half_candidates", counting)
     out = run_dir(tmp_path, "n8")
-    for k in (1, 2, 3):
-        pipeline.enumerate_pairs(RunConfig(n=8, out_dir=out, shards=3, shard_index=k))
+    assert sorted(run_shards(8, out, 3)) == [1, 2, 3]
     pipeline.enumerate_pairs(RunConfig(n=8, out_dir=out))
     assert calls == ["even", "odd"]
 
@@ -180,6 +194,47 @@ def test_shards_tabulate_only_their_odd_span(tmp_path, monkeypatch):
     assert rows[0::2] == [48] * 3
     assert sum(rows[1::2]) == 64
     assert len(survivors) == 36
+
+
+def test_a_shard_waits_for_its_siblings_first_members(tmp_path, monkeypatch):
+    calls = []
+    count_calls(monkeypatch, filters, "half_hall_columns", calls)
+    count_calls(monkeypatch, pipeline, "partner_join", calls)
+    out = run_dir(tmp_path, "n6")
+    shard = {k: RunConfig(n=6, out_dir=out, shards=3, shard_index=k) for k in (1, 2, 3)}
+    with pytest.raises(pipeline.ShardWaiting):
+        pipeline.enumerate_pairs(shard[1])
+    calls.clear()
+    with pytest.raises(pipeline.ShardWaiting) as exc:
+        pipeline.enumerate_pairs(shard[2])
+    # stage 1 ran; stage 2 names the one missing sibling and writes nothing
+    assert calls == ["half_hall_columns"] * 2
+    assert exc.value.missing == [shard[3].path_survivors()]
+    assert str(exc.value) == f"stage 2 waits for {shard[3].path_survivors()}"
+    assert shard[2].path_survivors().exists()
+    assert not shard[2].path_pairs().exists() and not shard[2].path_report().exists()
+    pipeline.enumerate_pairs(shard[3])
+    # the rerun of a waiting shard runs stage 2 only
+    calls.clear()
+    pipeline.enumerate_pairs(shard[2])
+    assert calls == ["partner_join"]
+    assert shard[2].path_pairs().exists() and shard[2].path_report().exists()
+
+
+def test_a_shard_reloads_only_pairs_of_its_own_first_members(tmp_path):
+    out = run_dir(tmp_path, "n6")
+    pairs = run_shards(6, out, 3)
+    assert all(pairs.values())
+    # shard 1's pair file, replaced by shard 2's well-formed, sorted Golay pairs
+    shard = RunConfig(n=6, out_dir=out, shards=3, shard_index=1)
+    other = RunConfig(n=6, out_dir=out, shards=3, shard_index=2)
+    shard.path_pairs().write_bytes(other.path_pairs().read_bytes())
+    line = other.path_pairs().read_text().splitlines()[0]
+    with pytest.raises(pipeline.ArtifactError) as exc:
+        pipeline.enumerate_pairs(shard)
+    assert str(exc.value) == (
+        f"{shard.path_pairs()}:1: first member not in this run's L_A: {line!r}"
+    )
 
 
 def test_length_one_blank_odd_half_is_one_item_across_shards(tmp_path):
