@@ -6,19 +6,21 @@ the same bound holds separately for its even-index and odd-index halves,
 and the halves' values add: h = h_even + h_odd.  Sampling z over roots of
 unity turns the bound into a rejection test.
 
-The half filter evaluates |h|^2 from the aperiodic autocorrelations c_s,
-not from a transform of the entries: at z = e^(it),
+Inside this module a half of parity p is its slot row g, the entries of
+its own slots p, p+2, ...; masked length-n tuples appear only in what
+enumerate_half_candidates returns and HalfJoin takes.  The half is
+h(z) = z^p * g(z^2), so |h(z)|^2 = |g(w)|^2 at w = z^2, and as z runs over
+the N-th roots of unity, w runs over the N / gcd(N, 2)-th roots: the half
+filter checks that many points of g for each sample count N.  It
+evaluates |g|^2 from g's aperiodic autocorrelations c_s, not from a
+transform of the entries: at w = e^(it),
 
-    |h(z)|^2 = c_0 + 2 * sum_s (Re c_s * cos(s*t) + Im c_s * sin(s*t)).
+    |g(w)|^2 = c_0 + 2 * sum_s (Re c_s * cos(s*t) + Im c_s * sin(s*t)).
 
 Every c_s is a small Gaussian integer, so float64 holds it exactly; one
-real matrix product with a cos/sin table evaluates a whole batch of rows,
-with work proportional to the shifts present, not to the sample grid.
-Shifts that vanish in every row are dropped (a half's odd shifts always
-do), and when the remaining shifts share a factor g the polynomial
-repeats after N/g of the N points, so only those are evaluated.  The
-float error is about 1e-14, far below the EPSILON added to the bound, so
-rejection is always sound.
+real matrix product with a cos/sin table evaluates a whole batch of rows.
+The float error is about 1e-14, far below the EPSILON added to the bound,
+so rejection is always sound.
 
 A second, fully exact test works on entry sums: for a pair member, the
 real and imaginary parts (R, I) of the entry sum -- and of the entry sum
@@ -36,14 +38,15 @@ skips nothing of value on the 128-point grid.  Both filters reject only
 above 2n + EPSILON, EPSILON = 1e-3.
 
 HalfJoin tabulates the halves' polynomials at the progressive points once
-per run, as one product of the entry values with a table of z^k stored in
-single precision.  float32 rounding moves a tabulated |h|^2 by a relative
-2^-23 at most; with the join's sum and square also in float32 the error
-stays near 1e-5 at the bound 2n = 64, far below EPSILON.  It groups the
-halves by their four scaled entry sums and decides the entry-sum test once
-per pair of classes, so each join costs a table lookup before the spectral
-slices; sweeps then run over spans of odd halves against every even half,
-and the pipeline only hands out the spans.
+per run, as one product of the slot rows' entry values with a table of
+z^k, k over the slots, stored in single precision.  float32 rounding
+moves a tabulated |h|^2 by a relative 2^-23 at most; with the join's sum
+and square also in float32 the error stays near 1e-5 at the bound
+2n = 64, far below EPSILON.  It groups the halves by their four scaled
+entry sums and decides the entry-sum test once per pair of classes, so
+each join costs a table lookup before the spectral slices; sweeps then
+run over spans of odd halves against every even half, and the pipeline
+only hands out the spans.
 """
 
 from __future__ import annotations
@@ -70,18 +73,6 @@ PROGRESSIVE_POINTS = tuple((m, j) for m in (8, 16, 32, 64, 128) for j in range(1
 # spectra
 
 
-def _exponent_matrix(cands, n):
-    """Entry exponents of (possibly masked) sequences, -1 in masked slots."""
-    rows = [[-1 if c is None else c for c in s] for s in cands]
-    return np.array(rows, dtype=np.int8).reshape(len(cands), n)
-
-
-def _values_matrix(cands, n):
-    """Complex entry values of a list of (possibly masked) sequences."""
-    # exponent -1 picks the trailing 0 of the lookup
-    return np.array(core.ENTRY_VALUES + (0,))[_exponent_matrix(cands, n)]
-
-
 def spectrum(seq, sample_count):
     """|h|^2 of one sequence at z = e^(2*pi*i*j/N), j = 0..N-1, by FFT.
 
@@ -90,7 +81,8 @@ def spectrum(seq, sample_count):
     """
     if sample_count < len(seq):
         raise ValueError("sample count must be at least the sequence length")
-    row = np.fft.ifft(_values_matrix([seq], len(seq))[0], n=sample_count) * sample_count
+    values = [0 if c is None else core.ENTRY_VALUES[c] for c in seq]  # a masked slot is 0
+    row = np.fft.ifft(values, n=sample_count) * sample_count
     return row.real**2 + row.imag**2
 
 
@@ -114,37 +106,33 @@ def autocorrelation_matrix(vals):
 
 
 def _autocorrelations(vals):
-    """(c_0, shifts, coef) of every row's aperiodic autocorrelation c_s.
+    """(c_0, coef) of every row's aperiodic autocorrelation c_s.
 
-    shifts lists the s >= 1 where some row has c_s != 0; coef holds Re c_s
-    for those shifts, then Im c_s, exact in float64.
+    coef holds Re c_s for the shifts s = 1..m-1 of a row of length m, then
+    Im c_s, exact in float64.
     """
     c = autocorrelation_matrix(vals)
-    shifts = np.nonzero((c[:, 1:] != 0).any(axis=0))[0] + 1
-    coef = np.concatenate([c[:, shifts].real, c[:, shifts].imag], axis=1)
-    return c[:, 0].real.astype(np.float64), shifts, coef.astype(np.float64)
+    coef = np.concatenate([c[:, 1:].real, c[:, 1:].imag], axis=1)
+    return c[:, 0].real.astype(np.float64), coef.astype(np.float64)
 
 
-def _power_table(shifts, sample_count):
-    """cos/sin rows, one per shift, at the distinct points of a sample count.
+def _power_table(length, sample_count):
+    """cos/sin rows, one per shift s = 1..length-1, at every point of a sample count.
 
-    Point j stands for z = e^(2*pi*i*j/N).  With every shift a multiple of
-    g the polynomial has period N / gcd(g, N) in j, so points are reduced
-    modulo that period and evaluated once.
+    Point j stands for w = e^(2*pi*i*j/N).
     """
-    period = sample_count // math.gcd(sample_count, *shifts.tolist())
-    points = np.unique(np.arange(sample_count) % period)
+    s, j = np.arange(1, length)[:, None], np.arange(sample_count)
     # reduce s*j mod N in integers so every angle lies in [0, 2*pi)
-    angle = (2 * np.pi / sample_count) * ((shifts[:, None] * points[None, :]) % sample_count)
+    angle = (2 * np.pi / sample_count) * ((s * j) % sample_count)
     return np.concatenate([np.cos(angle), np.sin(angle)])
 
 
-def _stage_pass_mask(c0, shifts, coef, bound, sample_count):
+def _stage_pass_mask(c0, coef, bound, sample_count):
     """Row mask of candidates whose sampled |h|^2 never exceeds bound.
 
     Takes the rows' _autocorrelations; |h|^2 = c_0 + 2 * (coef @ table).
     """
-    table = _power_table(shifts, sample_count)
+    table = _power_table(coef.shape[1] // 2 + 1, sample_count)
     out = np.empty(coef.shape[0], dtype=bool)
     # chunk the rows so the product stays inside 2^21 elements (~16MB)
     step = max(1, (1 << 21) // table.shape[1])
@@ -155,15 +143,16 @@ def _stage_pass_mask(c0, shifts, coef, bound, sample_count):
 
 
 def _hall_survivors(vals, n):
-    """Indices of the rows of vals whose |h|^2 stays within 2n + EPSILON.
+    """Indices of the slot rows in vals whose half keeps |h|^2 within 2n + EPSILON.
 
-    Every point at the coarse count n is checked, then every point at
-    FINE_SAMPLES on the rows still alive.
+    All N / gcd(N, 2) points w = z^2 are checked at the coarse count N = n,
+    then at N = FINE_SAMPLES on the rows still alive.
     """
-    c0, shifts, coef = _autocorrelations(vals)
+    c0, coef = _autocorrelations(vals)
     alive = np.arange(vals.shape[0])
-    for sample_count in (n, FINE_SAMPLES) if FINE_SAMPLES > n else (n,):
-        keep = _stage_pass_mask(c0[alive], shifts, coef[alive], 2 * n + EPSILON, sample_count)
+    for count in (n, FINE_SAMPLES) if FINE_SAMPLES > n else (n,):
+        points = count // math.gcd(count, 2)
+        keep = _stage_pass_mask(c0[alive], coef[alive], 2 * n + EPSILON, points)
         alive = alive[keep]
         if alive.size == 0:
             break
@@ -171,12 +160,12 @@ def _hall_survivors(vals, n):
 
 
 def passes_hall_filter(seq, n):
-    """True iff the half filter's sampled bound 2n + EPSILON is never exceeded.
+    """True iff |h|^2 stays within 2n + EPSILON at the counts n and FINE_SAMPLES, by FFT.
 
-    Sound for pair membership: a rejected sequence can belong to no Golay
-    pair of length n, whether seq is a full sequence or a masked half.
+    The half filter's test reference.  Sound for pair membership: a rejected
+    sequence can belong to no Golay pair of length n, full or masked half.
     """
-    return _hall_survivors(_values_matrix([seq], len(seq)), n).size == 1
+    return all(spectrum(seq, count).max() <= 2 * n + EPSILON for count in (n, FINE_SAMPLES))
 
 
 # ---------------------------------------------------------------------------
@@ -237,45 +226,16 @@ def sos_filter(seq, table):
 # candidate generation
 
 
-def _half_slots(n, parity):
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return list(range(0 if parity == "even" else 1, n, 2))
-
-
-def _slot_choices(slots, parity):
-    # leading nonzero entry pinned to 1; for the even half the next nonzero
-    # entry (slot 2) additionally avoids -i, mirroring pair normalization
-    choices = []
-    for pos, _ in enumerate(slots):
-        if pos == 0:
-            choices.append((0,))
-        elif pos == 1 and parity == "even":
-            choices.append((0, 1, 2))
-        else:
-            choices.append((0, 1, 2, 3))
-    return choices
-
-
-def _mixed_radix_matrix(choices):
-    """All combinations in lexicographic order, one row per combination."""
-    total = 1
-    for c in choices:
-        total *= len(c)
+def _mixed_radix_matrix(radices):
+    """Every row of digits, digit k below radices[k], in lexicographic order."""
+    total = math.prod(radices)
     cols = []
     rep = total
-    for c in choices:
-        rep //= len(c)
-        block = np.repeat(np.array(c, dtype=np.int8), rep)
-        cols.append(np.tile(block, total // (rep * len(c))))
+    for r in radices:
+        rep //= r
+        block = np.repeat(np.arange(r, dtype=np.int8), rep)
+        cols.append(np.tile(block, total // (rep * r)))
     return np.stack(cols, axis=1)
-
-
-def _half_value_matrix(exps, slots, n):
-    vals = np.zeros((exps.shape[0], n), dtype=np.complex128)
-    unit = np.array(core.ENTRY_VALUES)
-    vals[:, slots] = unit[exps]
-    return vals
 
 
 def enumerate_half_candidates(n, parity):
@@ -287,16 +247,20 @@ def enumerate_half_candidates(n, parity):
     """
     if n < 1:
         raise ValueError("length must be positive")
-    slots = _half_slots(n, parity)
-    if not slots:
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    p = 0 if parity == "even" else 1
+    m = len(range(p, n, 2))
+    if not m:
         return []
-    exps = _mixed_radix_matrix(_slot_choices(slots, parity))
-    alive = _hall_survivors(_half_value_matrix(exps, slots, n), n)
+    # leading entry pinned to 1; for the even half the next entry (slot 2)
+    # additionally avoids -i, mirroring pair normalization
+    exps = _mixed_radix_matrix(([1, 3 if p == 0 else 4] + [4] * m)[:m])
+    alive = _hall_survivors(np.array(core.ENTRY_VALUES)[exps], n)
     out = []
-    for r in alive:
+    for entries in exps[alive].tolist():
         row = [None] * n
-        for k, slot in enumerate(slots):
-            row[slot] = int(exps[r, k])
+        row[p::2] = entries
         out.append(tuple(row))
     return out
 
@@ -305,38 +269,37 @@ def enumerate_half_candidates(n, parity):
 # stage-1 join filter
 
 
-def half_hall_columns(cands, n):
-    """Half polynomials at the PROGRESSIVE_POINTS, as complex64.
+def half_hall_columns(exps, slots):
+    """Polynomials at the PROGRESSIVE_POINTS of rows whose column k is entry slots[k], as complex64.
 
-    One product of each chunk's entry values with a table of z^k, k < n,
-    evaluates the chunk; z^k's angle is reduced modulo the point's sample
-    count in integers, so a length above the count needs no fold.  The
-    product runs in double precision and is rounded once on storing, so
-    an entry is off by at most 2^-24 * |h|.  Returns an array of shape
-    (points, candidates), points in PROGRESSIVE_POINTS order.
+    A full sequence's slots are range(n).  One product of each chunk's
+    entry values with a table of z^k, k in slots, evaluates the chunk; z^k's
+    angle is reduced modulo the point's sample count in integers, so a
+    length above the count needs no fold.  The product runs in double
+    precision and is rounded once on storing, so an entry is off by at
+    most 2^-24 * |h|.  Returns shape (points, rows), in PROGRESSIVE_POINTS order.
     """
     m, j = np.array(PROGRESSIVE_POINTS).T[:, :, None]
-    powers = np.exp((2j * np.pi / m) * ((j * np.arange(n)) % m))
-    out = np.empty((powers.shape[0], len(cands)), dtype=np.complex64)
-    # chunk the candidates so the product stays near 2^21 elements
+    powers = np.exp((2j * np.pi / m) * ((j * np.asarray(slots)) % m))
+    values = np.array(core.ENTRY_VALUES)
+    out = np.empty((powers.shape[0], len(exps)), dtype=np.complex64)
+    # chunk the rows so the product stays near 2^21 elements
     step = 1 << 14
-    for lo in range(0, len(cands), step):
-        out[:, lo : lo + step] = powers @ _values_matrix(cands[lo : lo + step], n).T
+    for lo in range(0, len(exps), step):
+        out[:, lo : lo + step] = powers @ values[exps[lo : lo + step]].T
     return out
 
 
-def half_scaled_sums(cands):
-    """scaled_entry_sums for a whole candidate list, as an int array."""
-    n = len(cands[0]) if cands else 0
-    exps = _exponent_matrix(cands, n).astype(np.int16)
-    live = exps >= 0
-    ramp = np.arange(n, dtype=np.int16)
+def half_scaled_sums(exps, slots):
+    """scaled_entry_sums of rows of entry exponents, column k at index slots[k], as an int array."""
+    exps = exps.astype(np.int16)
+    ramp = np.asarray(slots, dtype=np.int16)
     entry_re, entry_im = np.array(core.ENTRY_RE), np.array(core.ENTRY_IM)
-    out = np.empty((len(cands), 4, 2), dtype=np.int16)
+    out = np.empty((len(exps), 4, 2), dtype=np.int16)
     for k in range(4):
         e = (exps + k * ramp) & 3
-        out[:, k, 0] = (entry_re[e] * live).sum(axis=1)
-        out[:, k, 1] = (entry_im[e] * live).sum(axis=1)
+        out[:, k, 0] = entry_re[e].sum(axis=1)
+        out[:, k, 1] = entry_im[e].sum(axis=1)
     return out
 
 
@@ -357,9 +320,9 @@ def join_odds(n, odds):
     return [(None,)] if n == 1 else odds
 
 
-def _sum_classes(cands):
-    """Distinct scaled entry sums of cands, shape (classes, 4, 2), and each row's class."""
-    sums = half_scaled_sums(cands).astype(np.int32).reshape(len(cands), 8)
+def _sum_classes(exps, slots):
+    """Distinct scaled entry sums of the rows, shape (classes, 4, 2), and each row's class."""
+    sums = half_scaled_sums(exps, slots).astype(np.int32).reshape(len(exps), 8)
     keys, inverse = np.unique(sums, axis=0, return_inverse=True)
     return keys.reshape(-1, 4, 2), inverse.reshape(-1)
 
@@ -382,14 +345,17 @@ class HalfJoin:
     """
 
     def __init__(self, n, evens, odds):
-        self._evens = evens
-        self._odds = odds
+        self._n = n
         self._bound = 2 * n + EPSILON
         self._slices = _count_slices()
-        self._e_cols = half_hall_columns(evens, n)
-        self._o_cols = half_hall_columns(odds, n)
-        e_keys, self._e_class = _sum_classes(evens)
-        o_keys, self._o_class = _sum_classes(odds)
+        # each side is converted once: a half h of parity p becomes its slot row h[p::2]
+        e_slots, o_slots = range(0, n, 2), range(1, n, 2)
+        self._e_rows = np.array([h[0::2] for h in evens], np.int8).reshape(len(evens), len(e_slots))
+        self._o_rows = np.array([h[1::2] for h in odds], np.int8).reshape(len(odds), len(o_slots))
+        self._e_cols = half_hall_columns(self._e_rows, e_slots)
+        self._o_cols = half_hall_columns(self._o_rows, o_slots)
+        e_keys, self._e_class = _sum_classes(self._e_rows, e_slots)
+        o_keys, self._o_class = _sum_classes(self._o_rows, o_slots)
         sums = np.abs(o_keys[:, None] + e_keys[None, :])
         solvable = build_squares_table(n).solvable
         self._sums_ok = solvable[sums[..., 0], sums[..., 1]].all(axis=2)
@@ -397,7 +363,7 @@ class HalfJoin:
     @property
     def odd_count(self):
         """Length of the odd axis that sweep() spans index."""
-        return len(self._odds)
+        return len(self._o_rows)
 
     def _within_bound(self, sl, e, o):
         """Whether joins of evens e with odds o keep |h|^2 in bound on slice sl.
@@ -436,9 +402,9 @@ class HalfJoin:
                         break
                     keep = self._within_bound(sl, e, o)
                     e, o = e[keep], o[keep]
-                for a, b in zip(e.tolist(), o.tolist()):
-                    survivors.append(
-                        tuple(x if x is not None else y for x, y in zip(self._evens[a], self._odds[b]))
-                    )
+                rows = np.empty((e.size, self._n), dtype=np.int8)
+                rows[:, 0::2] = self._e_rows[e]
+                rows[:, 1::2] = self._o_rows[o]
+                survivors.extend(map(tuple, rows.tolist()))
         survivors.sort()
         return survivors

@@ -26,10 +26,11 @@ exists: both half lists for preprocessing, L_A for stage 1, pairs for
 stage 2.  The filter settings are fixed in filters, and n and the shard
 are in every file name, so an existing artifact is always the one this
 run would write; deleting a file (or the directory) recomputes it.  A
-reloaded candidate list must still have the shape this run would write
-(read_candidates), and reloaded pairs must be sorted Golay pairs of
-length n whose first members are in this run's L_A (read_pairs).  No
-artifact records timings, so a rerun reproduces every file byte for byte.
+reloaded candidate list must still have the shape and order this run
+would write (read_candidates), and reloaded pairs must be sorted Golay
+pairs of length n whose first members are in this run's L_A
+(read_pairs).  No artifact records timings, so a rerun reproduces every
+file byte for byte.
 """
 
 from __future__ import annotations
@@ -131,20 +132,27 @@ def write_candidates(path, cands):
 
 
 def read_candidates(path, n, parity=None):
-    """Reload a candidate list of length n, checking each line's shape.
+    """Reload a candidate list of length n, checking each line's shape and order.
 
     A half list (parity 'even' or 'odd') must be masked exactly at the
-    other parity's slots, a first-member list (parity None) nowhere.
+    other parity's slots, a first-member list (parity None) nowhere.  The
+    lines must be sorted and unique.
     """
     masked = tuple(parity is not None and k % 2 != (parity == "odd") for k in range(n))
     kind = f"an {parity} half" if parity else "a first member"
+    last = None
 
     def parse(line):
+        nonlocal last
         seq = core.from_text(line)
         if len(seq) != n:
             raise ValueError(f"length {len(seq)}, expected {n}: {line!r}")
         if tuple(c is None for c in seq) != masked:
             raise ValueError(f"masked slots are not those of {kind}: {line!r}")
+        # the shape check aligns the masked slots, so only entries are compared
+        if last is not None and seq <= last:
+            raise ValueError(f"not sorted after the line before, or repeated: {line!r}")
+        last = seq
         return seq
 
     return _read_lines(path, parse)

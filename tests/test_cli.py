@@ -143,6 +143,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
         (4, "L_A_n4.txt", "++-+\n++x+\n", "bad sequence character 'x' in '++x+'"),
         (3, "L_A_n3.txt", "++-\n++-+\n", "length 4, expected 3: '++-+'"),
         (3, "L_A_n3.txt", "+0-\n", "masked slots are not those of a first member: '+0-'"),
+        (4, "L_A_n4.txt", "+++-\n+++-\n", "not sorted after the line before, or repeated: '+++-'"),
+        (4, "L_A_n4.txt", "++-+\n+++-\n", "not sorted after the line before, or repeated: '+++-'"),
         (3, "pairs_n3.txt", "4\t+++-\t++-+\n", "length 4, expected 3: '4\\t+++-\\t++-+'"),
         (
             3, "pairs_n3.txt", "3\t++-\t+j+\n3\t++-\t+i+\n",
@@ -156,7 +158,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
         (3, "pairs_n3.txt", "3\t++-\t+++\n", "not a Golay pair: '3\\t++-\\t+++'"),
     ],
     ids=["pairs-garbage", "first-members-bad-character", "first-members-too-long",
-         "first-members-masked", "pairs-other-length", "pairs-unsorted", "pairs-repeated",
+         "first-members-masked", "first-members-repeated", "first-members-unsorted",
+         "pairs-other-length", "pairs-unsorted", "pairs-repeated",
          "pairs-first-member-not-in-L_A", "pairs-non-pair"],
 )
 def test_malformed_artifact_is_a_usage_error(tmp_path, capsys, n, name, text, message):

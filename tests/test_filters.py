@@ -98,19 +98,45 @@ def _random_rows(rng, n, count):
     return rows
 
 
+def _random_halves(rng, n, p, count):
+    """Random halves of parity p as (slot rows of their entries at p, p+2, ..., masked rows)."""
+    slot_rows, masked = [], []
+    for _ in range(count):
+        row = [None] * n
+        for k in range(p, n, 2):
+            row[k] = rng.randrange(4)
+        slot_rows.append([row[k] for k in range(p, n, 2)])
+        masked.append(tuple(row))
+    return slot_rows, masked
+
+
 def test_stage_pass_mask_matches_fft_reference():
     rng = random.Random(20180515)
-    verdicts = set()
+    half_rng = random.Random(20180516)
+    verdicts, half_verdicts = set(), set()
     for n in range(1, 17):
         rows = _random_rows(rng, n, 40)
-        acf = filters._autocorrelations(filters._values_matrix(rows, n))
+        vals = [[0 if c is None else core.ENTRY_VALUES[c] for c in r] for r in rows]
+        acf = filters._autocorrelations(np.array(vals, dtype=complex))
+        # the half filter's identity: a half's slot row g at the N / gcd(N, 2)
+        # points w = z^2 gives the verdict of the masked half at N points
+        halves = []
+        for p in range(min(n, 2)):
+            slot_rows, masked = _random_halves(half_rng, n, p, 40)
+            vals = np.array(core.ENTRY_VALUES)[np.array(slot_rows)]
+            halves.append((filters._autocorrelations(vals), masked))
         for count in (n, 2**14):
             for bound in (2 * n + 1e-3, n + 1e-3):
                 got = filters._stage_pass_mask(*acf, bound, count)
                 want = np.array([filters.spectrum(r, count).max() for r in rows]) <= bound
                 assert np.array_equal(got, want), (n, count, bound)
                 verdicts.update(want.tolist())
-    assert verdicts == {True, False}
+                for half_acf, masked in halves:
+                    got = filters._stage_pass_mask(*half_acf, bound, count // math.gcd(count, 2))
+                    want = np.array([filters.spectrum(r, count).max() for r in masked]) <= bound
+                    assert np.array_equal(got, want), (n, count, bound, masked[0])
+                    half_verdicts.update(want.tolist())
+    assert verdicts == half_verdicts == {True, False}
 
 
 def test_hall_filter_rejects_known_non_member():
@@ -301,11 +327,18 @@ def _table_mags(mat):
     return mat.real.astype(np.float64) ** 2 + mat.imag.astype(np.float64) ** 2
 
 
+def _entries(seqs, slots):
+    """int8 rows of the seqs' entries at the given slots, as half_hall_columns takes them."""
+    rows = np.array([[s[k] for k in slots] for s in seqs], dtype=np.int8)
+    return rows.reshape(len(seqs), len(slots))
+
+
 def test_half_hall_columns_on_a_grid_coarser_than_n():
     # at the 8-point rows a length-10 polynomial wraps around (z^8 = 1)
     n = 10
     evens, _ = _halves(n)
-    mat = filters.half_hall_columns(evens, n)
+    slots = range(0, n, 2)
+    mat = filters.half_hall_columns(_entries(evens, slots), slots)
     assert mat.dtype == np.complex64
     rows = [(p, j) for p, (m, j) in enumerate(filters.PROGRESSIVE_POINTS) if m == 8]
     assert len(rows) == 4
@@ -319,7 +352,8 @@ def test_half_hall_columns_match_single_spectra():
     n = 6
     cands = filters.enumerate_half_candidates(n, "even")
     cols = _grid_columns()
-    mat = filters.half_hall_columns(cands, n)  # (points, candidates)
+    slots = range(0, n, 2)
+    mat = filters.half_hall_columns(_entries(cands, slots), slots)  # (points, candidates)
     assert mat.shape == (len(cols), len(cands))
     assert mat.dtype == np.complex64
     for r, c in enumerate(cands):
@@ -327,10 +361,10 @@ def test_half_hall_columns_match_single_spectra():
         assert np.allclose(_table_mags(mat[:, r]), want, rtol=F32_SQUARE_RTOL, atol=REFERENCE_ATOL)
 
 
-def _largest_square_error(cands, n):
-    """Largest | |h|^2 of the table - |h|^2 by FFT | over cands' points."""
+def _largest_square_error(cands, slots):
+    """Largest | |h|^2 of the table - |h|^2 by FFT | over cands' points, tabulated at slots."""
     cols = _grid_columns()
-    mags = _table_mags(filters.half_hall_columns(cands, n))
+    mags = _table_mags(filters.half_hall_columns(_entries(cands, slots), slots))
     return max(np.abs(mags[:, r] - filters.spectrum(c, 128)[cols]).max() for r, c in enumerate(cands))
 
 
@@ -340,14 +374,19 @@ def test_single_precision_tables_stay_far_inside_epsilon(checks):
     epsilon = filters.EPSILON
     evens, odds = _halves(16)
     assert (len(evens), len(odds)) == CANDIDATE_COUNTS[16][:2]
-    assert _largest_square_error(evens + odds, 16) < epsilon / 10
+    assert _largest_square_error(evens, range(0, 16, 2)) < epsilon / 10
+    assert _largest_square_error(odds, range(1, 16, 2)) < epsilon / 10
     members = [s for pair in checks.constructions(32) for s in pair]
     halves = [core.split_even_odd(s) for s in members]
-    rows = members + [h for pair in halves for h in pair]
-    assert _largest_square_error(rows, 32) < epsilon / 10
+    assert _largest_square_error(members, range(32)) < epsilon / 10
+    for p, side in enumerate(zip(*halves)):
+        assert _largest_square_error(side, range(p, 32, 2)) < epsilon / 10
     # a join adds two complex64 columns and squares them in float32, as
     # HalfJoin does; that too stays far inside epsilon
-    e_cols, o_cols = (filters.half_hall_columns(list(side), 32) for side in zip(*halves))
+    e_cols, o_cols = (
+        filters.half_hall_columns(_entries(side, range(p, 32, 2)), range(p, 32, 2))
+        for p, side in enumerate(zip(*halves))
+    )
     h = e_cols + o_cols
     cols = _grid_columns()
     want = np.array([filters.spectrum(s, 128)[cols] for s in members]).T
@@ -364,8 +403,10 @@ def test_constructed_first_members_survive_both_filters(checks, n):
     for pair in pairs:
         a, b = core.normalize(pair)
         for s in (a, b):
-            for half in core.split_even_odd(s):
+            for p, half in enumerate(core.split_even_odd(s)):
                 assert filters.passes_hall_filter(half, n), (half, pair)
+                slot_row = np.array(core.ENTRY_VALUES)[[half[p::2]]]
+                assert filters._hall_survivors(slot_row, n).size == 1, (half, pair)
         even, odd = core.split_even_odd(a)
         assert filters.HalfJoin(n, [even], [odd]).sweep(0, 1) == [a], pair
 
@@ -373,6 +414,7 @@ def test_constructed_first_members_survive_both_filters(checks, n):
 def test_half_scaled_sums_match_scalar_path():
     n = 7
     cands = filters.enumerate_half_candidates(n, "odd")
-    arr = filters.half_scaled_sums(cands)
+    slots = range(1, n, 2)
+    arr = filters.half_scaled_sums(_entries(cands, slots), slots)
     for r, c in enumerate(cands):
         assert tuple(map(tuple, arr[r])) == filters.scaled_entry_sums(c)

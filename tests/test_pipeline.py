@@ -318,7 +318,7 @@ def test_shard_spans_partition_everything():
 def test_candidate_file_roundtrip(tmp_path):
     path = tmp_path / "cands.txt"
     for parity, cands, text in (
-        ("even", [(0, None, 2), (0, None, 1)], "+0-\n+0i\n"),
+        ("even", [(0, None, 1), (0, None, 2)], "+0i\n+0-\n"),
         ("odd", [(None, 3, None)], "0j0\n"),
         (None, [(0, 0, 2)], "++-\n"),
     ):
