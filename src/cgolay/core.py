@@ -5,7 +5,9 @@ A quaternary sequence has entries drawn from the fourth roots of unity
 is i**c), so multiplication is exponent addition mod 4 and conjugation is
 exponent negation mod 4.  Complementarity checks are exact: aperiodic
 autocorrelations are Gaussian integers held as plain (re, im) int pairs,
-never floats.
+never floats.  golay_mask checks rows of exponent matrices with the same
+sums, for the pipeline and the census.  is_golay_pair stays scalar Python:
+the partner search checks one candidate at a time, and it is the reference.
 
 Half-sequences produced by the even/odd split keep their original length
 and carry None in the vacated slots.  A None slot behaves like the value
@@ -18,6 +20,8 @@ Sequences also have a compact text form used by the pair files: '+' for
 
 from __future__ import annotations
 
+import numpy as np
+
 QuatSeq = tuple  # entries: int exponents 0..3, or None for masked slots
 GaussInt = tuple  # (re, im) with int components
 Pair = tuple  # (A, B), two full QuatSeq of equal length
@@ -26,6 +30,7 @@ Pair = tuple  # (A, B), two full QuatSeq of equal length
 ENTRY_RE = (1, 0, -1, 0)
 ENTRY_IM = (0, 1, 0, -1)
 ENTRY_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
+_ENTRY_PARTS = np.array([ENTRY_RE, ENTRY_IM], dtype=np.int32).T  # (4, 2): re, im
 
 _CHAR_FOR_EXP = {0: "+", 1: "i", 2: "-", 3: "j", None: "0"}
 _EXP_FOR_CHAR = {"+": 0, "i": 1, "-": 2, "j": 3, "0": None}
@@ -104,6 +109,17 @@ def is_golay_pair(pair):
         if ra + rb or ia + ib:
             return False
     return True
+
+
+def golay_mask(a, b):
+    """Per row r of two (rows, n) exponent matrices: is (a[r], b[r]) a Golay
+    pair, by is_golay_pair's integer (re, im) sums at every shift."""
+    x = np.stack([a, b])  # (2, rows, n)
+    n = x.shape[-1]
+    ok = np.ones(x.shape[1], dtype=bool)
+    for s in range(1, n):
+        ok &= ~_ENTRY_PARTS[(x[..., : n - s] - x[..., s:]) & 3].sum(axis=(0, 2)).any(axis=1)
+    return ok
 
 
 def entry_sum(seq):

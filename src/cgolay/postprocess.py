@@ -6,10 +6,13 @@ every pair of their classes under the five equivalence moves E1..E5
 sequences, the pairs and the classes.  Scaling A, scaling B and the ramp
 generate 64 offsets (A + p, B + q, both + r*k, mod 4), a normal subgroup
 acting freely from length 2 on, so each pair is one offset of exactly one
-pinned pair, with a[0] = a[1] = b[0] = 1 (core.pin).  Classes are closed
-over pinned pairs under the residual moves E1, E2 and E3, each followed by
-a re-pin, then expanded by all 64 offsets at once in numpy.  Pinning never
-raises a text key, so each class's least pair is pinned too.
+pinned pair, with a[0] = a[1] = b[0] = 1 (core.pin).  Modulo the offsets,
+E1, E2 and E3 act as a group of order 16: identity, reversal R,
+conjugation C or CR on each member, with an even count of R and C over
+both, then maybe a swap.  So a class is the 16 pinned images of any of its
+pairs, expanded by the 64 offsets.  Keys hold 2 bits per entry in text
+order ('+' < '-' < 'i' < 'j'), 32 per uint64 word; pinning never raises a
+text key, so the least key of a class's images is its least pair.
 
 The crossover test is a structural diagnostic relating mirrored entries of
 the two members; it holds for every class at small lengths except a single
@@ -24,11 +27,7 @@ import numpy as np
 
 from . import core
 
-RESIDUAL_OPS = ("E1", "E2", "E3")
-
-
-def _text_key(pair):
-    return (core.to_text(pair[0]), core.to_text(pair[1]))
+_RANK = np.array([0, 2, 1, 3], dtype=np.uint64)  # text order of exponents 0..3
 
 
 @dataclass(frozen=True)
@@ -46,22 +45,43 @@ class OmegaSets:
         return (len(self.sequences), len(self.all_pairs), len(self.representatives))
 
 
-def _expand(n, pinned):
-    """(all pairs, sequences) from every offset of every pinned pair.
+def _pin(x):
+    """core.pin over a (rows, 2, n) exponent array."""
+    t = (x[:, 0, :1] - x[:, 0, 1:2]) & 3 if x.shape[-1] >= 2 else 0
+    ramp = (t * np.arange(x.shape[-1])).reshape(-1, 1, x.shape[-1])
+    return ((x - x[:, :, :1] + ramp) & 3).astype(np.int8)
 
-    Each distinct sequence is one tuple, shared by all pairs holding it.
-    """
-    p, q, r = np.indices((4, 4, 4), dtype=np.uint8).reshape(3, 64, 1)
-    ramp = r * np.arange(n, dtype=np.uint8)
+
+def _keys(rows):
+    """(rows, words) text-order keys of (rows, m) exponents, first entry highest."""
+    count, m = rows.shape
+    keys = np.zeros((count, -(-m // 32)), dtype=np.uint64)
+    for k in range(m):
+        keys[:, k // 32] |= _RANK[rows[:, k]] << np.uint64(62 - 2 * (k % 32))
+    return keys
+
+
+def _unique(keys):
+    """(one row per distinct key, by ascending key; each row's place in that order)."""
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _expand(n, pinned):
+    """(all pairs, sequences) from every offset of every (rows, 2, n) pinned
+    pair; each distinct sequence is one tuple, shared by all pairs holding it."""
+    p, q, r = np.indices((4, 4, 4), dtype=np.int8).reshape(3, 64, 1)
+    ramp = r * (np.arange(n) & 3).astype(np.int8)
     offsets = np.stack([p + ramp, q + ramp], axis=1)  # (64, 2, n)
-    # uint8 wraps mod 256, a multiple of 4, so masking afterwards is exact
-    base = np.array(pinned, dtype=np.uint8).reshape(-1, 1, 2, n)
-    rows = ((base + offsets) & 3).reshape(-1, n)
-    keys = rows.view(np.dtype((np.void, n))).ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    rows = distinct.view(np.uint8).reshape(-1, n).tolist()
-    seqs = np.fromiter(map(tuple, rows), dtype=object, count=len(rows))
-    members = seqs[inverse.ravel()]
+    rows = ((pinned[:, None] + offsets) & 3).reshape(-1, n)
+    first, inverse = _unique(_keys(rows))
+    seqs = np.fromiter(map(tuple, rows[first].tolist()), dtype=object, count=len(first))
+    members = seqs[inverse]
     return frozenset(zip(members[0::2], members[1::2])), frozenset(seqs)
 
 
@@ -71,34 +91,24 @@ def build_omegas(n, pairs):
     Input order and form do not matter; every input pair is checked against
     the defining correlation condition before anything else touches it.
     """
-    pinned = set()
+    pairs = list(pairs)
     for pair in pairs:
-        a, b = pair
-        if len(a) != n or len(b) != n:
+        if len(pair[0]) != n or len(pair[1]) != n:
             raise ValueError(f"pair {pair!r} does not have length {n}")
-        if not core.is_golay_pair(pair):
-            raise ValueError(f"pair {pair!r} fails the correlation condition")
-        pinned.add(core.pin(pair))
-
-    closed = set()
-    classes = []
-    for pair in pinned:
-        if pair in closed:
-            continue
-        cls = {pair}
-        frontier = [pair]
-        while frontier:
-            current = frontier.pop()
-            for tag in RESIDUAL_OPS:
-                image = core.pin(core.apply_equivalence(tag, current))
-                if image not in cls:
-                    cls.add(image)
-                    frontier.append(image)
-        closed |= cls
-        classes.append(min(cls, key=_text_key))
-    classes.sort(key=_text_key)
-
-    return OmegaSets(n, *_expand(n, list(closed)), tuple(classes))
+    x = np.array(pairs, dtype=np.int8).reshape(-1, 2, n)
+    ok = core.golay_mask(x[:, 0], x[:, 1])
+    if not ok.all():
+        raise ValueError(f"pair {pairs[ok.argmin()]!r} fails the correlation condition")
+    # per member: identity, R, C and CR; the 8 even choices, then each swapped
+    a, b = (np.stack([y, y[:, ::-1], -y & 3, -y[:, ::-1] & 3]) for y in _pin(x).transpose(1, 0, 2))
+    even = [(g, h) for g in range(4) for h in range(4) if (g in (0, 3)) == (h in (0, 3))]
+    images = np.concatenate([np.stack([a[g], b[h]], axis=1) for g, h in even])
+    images = _pin(np.concatenate([images, images[:, ::-1]]))
+    closed, inverse = _unique(_keys(images.reshape(len(images), 2 * n)))
+    # each input pair's class is its 16 images; the least key represents it
+    reps = images[closed[np.unique(inverse.reshape(16, -1).min(axis=0))]].tolist()
+    representatives = tuple((tuple(ra), tuple(rb)) for ra, rb in reps)
+    return OmegaSets(n, *_expand(n, images[closed]), representatives)
 
 
 def crossover_check(pair):

@@ -1,11 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgolay import core
-from cgolay import oracle
+from cgolay import core, oracle, pipeline
 
 full_seqs = st.lists(st.integers(0, 3), min_size=1, max_size=12).map(tuple)
 masked_seqs = st.lists(
@@ -86,6 +86,37 @@ def test_is_golay_pair_agrees_with_oracle_exhaustively():
         for a in univ:
             for b in univ:
                 assert core.is_golay_pair((a, b)) == ((a, b) in truth)
+
+
+def _golay_rows(pairs, n):
+    x = np.array(pairs, dtype=np.int8).reshape(-1, 2, n)
+    return core.golay_mask(x[:, 0], x[:, 1])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_golay_mask_equals_is_golay_pair_exhaustively(n):
+    univ = list(itertools.product((0, 1, 2, 3), repeat=n))
+    pairs = [(a, b) for a in univ for b in univ]
+    assert _golay_rows(pairs, n).tolist() == [core.is_golay_pair(p) for p in pairs]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_golay_mask_equals_is_golay_pair_near_normalized_pairs(n, tmp_path):
+    # every normalized pair and each change of one of its entries; the
+    # oracle stops at length 8, the pipeline (held to it) goes on
+    if n <= 8:
+        found = oracle.normalized_pairs(n)
+    else:
+        found = pipeline.enumerate_pairs(pipeline.RunConfig(n=n, out_dir=tmp_path))
+    pairs = []
+    for a, b in sorted(found):
+        pairs.append((a, b))
+        for k in range(2 * n):
+            for c in (1, 2, 3):
+                flat = list(a + b)
+                flat[k] = (flat[k] + c) & 3
+                pairs.append((tuple(flat[:n]), tuple(flat[n:])))
+    assert _golay_rows(pairs, n).tolist() == [core.is_golay_pair(p) for p in pairs]
 
 
 # ---------------------------------------------------------------------------

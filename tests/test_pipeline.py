@@ -377,6 +377,22 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     assert pipeline._run_chunked(lambda span: [span], 2, 3) == [(0, 1), (1, 2)]
     assert pipeline._run_chunked(lambda span: [span], 9, 3) == [(k, k + 1) for k in range(9)]
     assert sizes == [2, 3]
+    # one worker sweeps the whole axis in one call, in this process
+    assert pipeline._run_chunked(lambda span: [span], 9, 1) == [(0, 9)]
+    assert sizes == [2, 3]
+
+
+def test_reload_names_the_first_non_pair(tmp_path):
+    pairs = sorted(oracle.normalized_pairs(6))[:5]
+    for k in (2, 4):  # lines 3 and 5: negate A's last entry
+        a, b = pairs[k]
+        pairs[k] = (a[:-1] + ((a[-1] + 2) & 3,), b)
+    lines = [pipeline.pair_line(6, p) for p in pairs]
+    path = tmp_path / "pairs_n6.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(pipeline.ArtifactError) as exc:
+        pipeline.read_pairs(path)
+    assert str(exc.value) == f"{path}:3: not a Golay pair: {lines[2]!r}"
 
 
 def test_pair_line_roundtrip_and_validation(tmp_path):

@@ -82,6 +82,21 @@ def test_postprocess_files_equal_closure_reference(reference, tmp_path, capsys, 
     assert (out / f"reps_n{n}.txt").read_bytes() == (tmp_path / "reps.txt").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [((0, 0), (0, 2)), ((0, 0, 1, 3), (0, 0, 3, 1))])
+def test_census_of_a_length_64_pair_equals_its_closure(seed):
+    # Golay concatenation (A, B) -> (AB, A(-B)) from (++, +-), and from
+    # (++ij, ++ji), where reversing A alone breaks the pair; a length-64 pair
+    # takes two key words per member and four per pair
+    a, b = seed
+    while len(a) < 64:
+        a, b = a + b, a + tuple((x + 2) & 3 for x in b)
+    closure = equivalence_closure([(a, b)])
+    omegas = build_omegas(64, [(a, b)])
+    assert omegas.all_pairs == closure
+    assert omegas.sequences == frozenset(s for p in closure for s in p)
+    assert omegas.representatives == (min(closure, key=text_key),)
+
+
 def test_closure_sizes_of_single_pairs():
     assert len(equivalence_closure([((0,), (0,))])) == 16
     assert len(equivalence_closure([((0, 0, 2), (0, 1, 0))])) == 128
