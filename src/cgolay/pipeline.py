@@ -28,9 +28,9 @@ are in every file name, so an existing artifact is always the one this
 run would write; deleting a file (or the directory) recomputes it.  A
 reloaded candidate list must still have the shape and order this run
 would write (read_candidates).  Reloaded pairs must be sorted, of length
-n and start in this run's L_A; read_pairs checks the Golay condition once
-every line parses, one golay_mask per length.  No artifact records
-timings, so a rerun reproduces every file byte for byte.
+n and start in this run's L_A; read_pairs then checks the parsed lines
+are Golay pairs, one golay_mask per length, and names the first bad line.
+No artifact records timings, so a rerun reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -114,17 +114,22 @@ class ArtifactError(ValueError):
     """An artifact that does not decode, parse or check; the message names path[:line]."""
 
 
-def _read_lines(path, parse):
+def _read_lines(path, parse, check=None):
+    """parse(line) per line up to a failure; check(rows) may name a row as (index, reason)."""
     try:
-        text = path.read_text()
+        lines, out, error = path.read_text().splitlines(), [], None
     except UnicodeDecodeError as exc:
         raise ArtifactError(f"{path}: {exc}") from None
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         try:
             out.append(parse(line))
         except ValueError as exc:
-            raise ArtifactError(f"{path}:{lineno}: {exc}") from None
+            error = f"{path}:{lineno}: {exc}"
+            break
+    if check and (bad := check(out)):
+        error = f"{path}:{bad[0] + 1}: {bad[1]}: {lines[bad[0]]!r}"
+    if error:
+        raise ArtifactError(error)
     return out
 
 
@@ -208,17 +213,14 @@ def read_pairs(path, n=None, firsts=None):
         last = pair
         return pair
 
-    pairs = _read_lines(path, parse)
-    ok = np.ones(len(pairs), dtype=bool)
-    for m in {len(a) for a, _ in pairs}:
-        at = [k for k, (a, _) in enumerate(pairs) if len(a) == m]
-        x = np.array([pairs[k] for k in at], dtype=np.int8)
-        ok[at] = core.golay_mask(x[:, 0], x[:, 1])
-    if not ok.all():
-        k = int(ok.argmin())
-        line = path.read_text().splitlines()[k]
-        raise ArtifactError(f"{path}:{k + 1}: not a Golay pair: {line!r}")
-    return pairs
+    def check(pairs):
+        ok = np.ones(len(pairs), dtype=bool)
+        for m in {len(a) for a, _ in pairs}:
+            at = [k for k, (a, _) in enumerate(pairs) if len(a) == m]
+            ok[at] = core.golay_mask(*np.array([pairs[k] for k in at], np.int8).swapaxes(0, 1))
+        return None if ok.all() else (int(ok.argmin()), "not a Golay pair")
+
+    return _read_lines(path, parse, check)
 
 
 # ---------------------------------------------------------------------------

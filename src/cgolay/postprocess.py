@@ -46,7 +46,7 @@ class OmegaSets:
 
 
 def _pin(x):
-    """core.pin over a (rows, 2, n) exponent array."""
+    """core.pin over a (rows, 2, n) exponent array; a change to one goes in both."""
     t = (x[:, 0, :1] - x[:, 0, 1:2]) & 3 if x.shape[-1] >= 2 else 0
     ramp = (t * np.arange(x.shape[-1])).reshape(-1, 1, x.shape[-1])
     return ((x - x[:, :, :1] + ramp) & 3).astype(np.int8)
@@ -54,19 +54,17 @@ def _pin(x):
 
 def _keys(rows):
     """(rows, words) text-order keys of (rows, m) exponents, first entry highest."""
-    count, m = rows.shape
-    keys = np.zeros((count, -(-m // 32)), dtype=np.uint64)
-    for k in range(m):
+    keys = np.zeros((len(rows), -(-rows.shape[1] // 32)), dtype=np.uint64)
+    for k in range(rows.shape[1]):
         keys[:, k // 32] |= _RANK[rows[:, k]] << np.uint64(62 - 2 * (k % 32))
     return keys
 
 
 def _unique(keys):
     """(one row per distinct key, by ascending key; each row's place in that order)."""
-    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
-    ordered = keys[order]
+    order = np.lexsort(keys.T[::-1])
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    new[1:] = (np.diff(keys[order], axis=0) != 0).any(axis=1)
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse

@@ -393,6 +393,22 @@ def test_reload_names_the_first_non_pair(tmp_path):
     with pytest.raises(pipeline.ArtifactError) as exc:
         pipeline.read_pairs(path)
     assert str(exc.value) == f"{path}:3: not a Golay pair: {lines[2]!r}"
+    # a non-pair is named before a later line that fails to parse or is out
+    # of order, and after an earlier one
+    for later, first in ((4, 3), (1, 2)):
+        bad = lines[:later] + [lines[later - 1]] + lines[later:]  # a repeated line
+        path.write_text("".join(line + "\n" for line in bad))
+        with pytest.raises(pipeline.ArtifactError, match=f":{first}: "):
+            pipeline.read_pairs(path, 6)
+
+
+def test_write_pairs_renders_pair_lines(tmp_path):
+    pairs = sorted(oracle.normalized_pairs(8))[:3]
+    long = [((0,) * 10, (0,) * 9 + (1,))]  # a two-digit length, not a pair
+    for n, rows in ((8, pairs), (10, long), (8, [])):
+        pipeline.write_pairs(tmp_path / "p.txt", n, rows)
+        text = "".join(pipeline.pair_line(n, p) + "\n" for p in rows)
+        assert (tmp_path / "p.txt").read_text() == text
 
 
 def test_pair_line_roundtrip_and_validation(tmp_path):

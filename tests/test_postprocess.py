@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cgolay import cli, core, oracle, pipeline, postprocess
@@ -76,10 +77,10 @@ def test_postprocess_files_equal_closure_reference(reference, tmp_path, capsys, 
     out = tmp_path / "census"
     assert cli.main(["postprocess", "--in", str(ref["cfg"].path_pairs()), "--out", str(out)]) == 0
     capsys.readouterr()
-    pipeline.write_pairs(tmp_path / "pairs_all.txt", n, sorted(closure))
-    pipeline.write_pairs(tmp_path / "reps.txt", n, list(reps))
-    assert (out / f"pairs_all_n{n}.txt").read_bytes() == (tmp_path / "pairs_all.txt").read_bytes()
-    assert (out / f"reps_n{n}.txt").read_bytes() == (tmp_path / "reps.txt").read_bytes()
+    # the reference text comes from pair_line, not from write_pairs' byte lookup
+    for name, pairs in (("pairs_all", sorted(closure)), ("reps", reps)):
+        text = "".join(pipeline.pair_line(n, p) + "\n" for p in pairs)
+        assert (out / f"{name}_n{n}.txt").read_text() == text
 
 
 @pytest.mark.parametrize("seed", [((0, 0), (0, 2)), ((0, 0, 1, 3), (0, 0, 3, 1))])
@@ -95,6 +96,14 @@ def test_census_of_a_length_64_pair_equals_its_closure(seed):
     assert omegas.all_pairs == closure
     assert omegas.sequences == frozenset(s for p in closure for s in p)
     assert omegas.representatives == (min(closure, key=text_key),)
+
+
+def test_array_pin_equals_core_pin():
+    rng = random.Random(7)
+    for n in (1, 2, 3, 8, 33):
+        pairs = [tuple(tuple(rng.randrange(4) for _ in range(n)) for _ in "ab") for _ in range(50)]
+        pinned = postprocess._pin(np.array(pairs, dtype=np.int8)).tolist()
+        assert [(tuple(a), tuple(b)) for a, b in pinned] == [core.pin(p) for p in pairs]
 
 
 def test_closure_sizes_of_single_pairs():
