@@ -122,7 +122,7 @@ def _cmd_postprocess(args):
         omegas = postprocess.build_omegas(n, sorted(by_length[n]))
         rows.append((n,) + omegas.counts)
         pipeline.write_pairs(
-            args.out / f"pairs_all_n{n}.txt", n, sorted(omegas.all_pairs)
+            args.out / f"pairs_all_n{n}.txt", n, postprocess.sorted_closure(omegas)
         )
         pipeline.write_pairs(
             args.out / f"reps_n{n}.txt", n, list(omegas.representatives)

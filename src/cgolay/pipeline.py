@@ -27,9 +27,11 @@ stage 2.  The filter settings are fixed in filters, and n and the shard
 are in every file name, so an existing artifact is always the one this
 run would write; deleting a file (or the directory) recomputes it.  A
 reloaded candidate list must still have the shape and order this run
-would write (read_candidates).  Reloaded pairs must be sorted, of length
-n and start in this run's L_A; read_pairs then checks the parsed lines
-are Golay pairs, one golay_mask per length, and names the first bad line.
+would write (read_candidates), and every L_A file's members must have
+their halves in this run's half lists.  Reloaded pairs must be sorted,
+of length n and start in this run's L_A; read_pairs then checks the
+parsed lines are Golay pairs, one golay_mask per length, and names the
+first bad line.
 No artifact records timings, so a rerun reproduces every file byte for byte.
 """
 
@@ -137,12 +139,13 @@ def write_candidates(path, cands):
     _write_atomic(path, "".join(core.to_text(c) + "\n" for c in cands))
 
 
-def read_candidates(path, n, parity=None):
+def read_candidates(path, n, parity=None, halves=None):
     """Reload a candidate list of length n, checking each line's shape and order.
 
     A half list (parity 'even' or 'odd') must be masked exactly at the
     other parity's slots, a first-member list (parity None) nowhere.  The
-    lines must be sorted and unique.
+    lines must be sorted and unique.  With a run's (evens, odds), each
+    first member's even and odd halves must be among them.
     """
     masked = tuple(parity is not None and k % 2 != (parity == "odd") for k in range(n))
     kind = f"an {parity} half" if parity else "a first member"
@@ -161,7 +164,17 @@ def read_candidates(path, n, parity=None):
         last = seq
         return seq
 
-    return _read_lines(path, parse)
+    def check(seqs):
+        evens, odds = set(halves[0]), set(filters.join_odds(n, halves[1]))
+        for k, seq in enumerate(seqs):
+            even, odd = core.split_even_odd(seq)
+            if even not in evens:
+                return k, "even half not in this run's L_even"
+            if odd not in odds:
+                return k, "odd half not in this run's L_odd"
+        return None
+
+    return _read_lines(path, parse, check if halves is not None else None)
 
 
 def pair_line(n, pair):
@@ -186,10 +199,15 @@ def parse_pair_line(line):
 
 
 def write_pairs(path, n, pairs):
-    """Write pair_line(n, p) and a newline per pair, rendered by one byte lookup."""
+    """Write pair_line(n, p) and a newline per pair, rendered by one byte lookup.
+
+    pairs are tuple pairs or a (pairs, 2, n) exponent array.
+    """
     codes = np.full((len(pairs), 2, n + 1), [[4], [5]], np.uint8)  # tab after A, newline after B
-    entries = bytes(chain.from_iterable(chain.from_iterable(pairs)))  # faster than np.array
-    codes[:, :, :n] = np.frombuffer(entries, dtype=np.uint8).reshape(-1, 2, n)
+    if not isinstance(pairs, np.ndarray):
+        entries = bytes(chain.from_iterable(chain.from_iterable(pairs)))  # faster than np.array
+        pairs = np.frombuffer(entries, dtype=np.uint8).reshape(-1, 2, n)
+    codes[:, :, :n] = pairs
     text = np.frombuffer(b"+i-j\t\n", dtype=np.uint8)[codes].reshape(len(pairs), 2 * n + 2)
     prefix = np.tile(np.frombuffer(f"{n}\t".encode(), dtype=np.uint8), (len(pairs), 1))
     _write_atomic(path, np.hstack([prefix, text]).tobytes().decode())
@@ -288,7 +306,7 @@ def run_preprocessing(cfg):
 def run_stage1(cfg, evens, odds):
     """First members surviving the join filters, for this shard of the odds."""
     if cfg.path_survivors().exists():
-        return read_candidates(cfg.path_survivors(), cfg.n)
+        return read_candidates(cfg.path_survivors(), cfg.n, halves=(evens, odds))
     odds = filters.join_odds(cfg.n, odds)
     lo, hi = shard_span(len(odds), cfg.shards, cfg.shard_index)
     join = filters.HalfJoin(cfg.n, evens, odds[lo:hi])
@@ -360,12 +378,13 @@ class ShardWaiting(Exception):
         self.missing = missing
 
 
-def run_stage2(cfg, survivors):
+def run_stage2(cfg, survivors, evens, odds):
     """All normalized pairs whose first member is in the survivor list.
 
     The partners come from partner_join over all of L_A: for a shard, the
-    union of every shard's L_A file in the directory.  While one of those
-    is missing, a shard raises ShardWaiting and writes nothing.
+    union of every shard's L_A file in the directory, each checked against
+    the half lists (evens, odds).  While one of those files is missing, a
+    shard raises ShardWaiting and writes nothing.
     """
     if cfg.path_pairs().exists():
         return read_pairs(cfg.path_pairs(), cfg.n, set(survivors))
@@ -377,7 +396,7 @@ def run_stage2(cfg, survivors):
         missing = [p for p in paths if not p.exists()]
         if missing:
             raise ShardWaiting(missing)
-        members = [m for p in paths for m in read_candidates(p, cfg.n)]
+        members = [m for p in paths for m in read_candidates(p, cfg.n, halves=(evens, odds))]
     pairs = partner_join(cfg.n, survivors, members)
     write_pairs(cfg.path_pairs(), cfg.n, pairs)
     return pairs
@@ -398,7 +417,7 @@ def enumerate_pairs(cfg):
     """Run (or resume) the whole pipeline; returns the normalized pairs."""
     evens, odds = run_preprocessing(cfg)
     survivors = run_stage1(cfg, evens, odds)
-    pairs = run_stage2(cfg, survivors)
+    pairs = run_stage2(cfg, survivors, evens, odds)
     counts = {
         "evens": len(evens),
         "odds": len(odds),

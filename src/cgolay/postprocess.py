@@ -12,7 +12,9 @@ conjugation C or CR on each member, with an even count of R and C over
 both, then maybe a swap.  So a class is the 16 pinned images of any of its
 pairs, expanded by the 64 offsets.  Keys hold 2 bits per entry in text
 order ('+' < '-' < 'i' < 'j'), 32 per uint64 word; pinning never raises a
-text key, so the least key of a class's images is its least pair.
+text key, so the least key of a class's images is its least pair.  The
+census files list the closure in exponent order, as tuples sort: the same
+packing with exponents ranked 0..3 (sorted_closure).
 
 The crossover test is a structural diagnostic relating mirrored entries of
 the two members; it holds for every class at small lengths except a single
@@ -21,13 +23,14 @@ length-8 class, and is reported, never enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import core
 
-_RANK = np.array([0, 2, 1, 3], dtype=np.uint64)  # text order of exponents 0..3
+_TEXT_RANK = np.array([0, 2, 1, 3], dtype=np.uint64)  # text order of exponents 0..3
+_EXPONENT_RANK = np.arange(4, dtype=np.uint64)  # exponent order, as tuples sort
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,8 @@ class OmegaSets:
     all_pairs: frozenset  # every pair in any class
     sequences: frozenset  # every sequence appearing as a member
     representatives: tuple  # lexicographically least pair per class
+    # all_pairs as (rows, 2, n) exponents, unordered; length 1 repeats pairs
+    closure: np.ndarray = field(repr=False, compare=False)
 
     @property
     def counts(self):
@@ -52,11 +57,12 @@ def _pin(x):
     return ((x - x[:, :, :1] + ramp) & 3).astype(np.int8)
 
 
-def _keys(rows):
-    """(rows, words) text-order keys of (rows, m) exponents, first entry highest."""
+def _keys(rows, rank=_TEXT_RANK):
+    """(rows, words) keys of (rows, m) exponents, first entry highest; rank
+    orders the exponents, text order by default."""
     keys = np.zeros((len(rows), -(-rows.shape[1] // 32)), dtype=np.uint64)
     for k in range(rows.shape[1]):
-        keys[:, k // 32] |= _RANK[rows[:, k]] << np.uint64(62 - 2 * (k % 32))
+        keys[:, k // 32] |= rank[rows[:, k]] << np.uint64(62 - 2 * (k % 32))
     return keys
 
 
@@ -71,8 +77,9 @@ def _unique(keys):
 
 
 def _expand(n, pinned):
-    """(all pairs, sequences) from every offset of every (rows, 2, n) pinned
-    pair; each distinct sequence is one tuple, shared by all pairs holding it."""
+    """(all pairs, sequences, closure) from every offset of every (rows, 2, n)
+    pinned pair; each distinct sequence is one tuple, shared by all pairs
+    holding it, and the closure holds the pairs as OmegaSets.closure."""
     p, q, r = np.indices((4, 4, 4), dtype=np.int8).reshape(3, 64, 1)
     ramp = r * (np.arange(n) & 3).astype(np.int8)
     offsets = np.stack([p + ramp, q + ramp], axis=1)  # (64, 2, n)
@@ -80,7 +87,8 @@ def _expand(n, pinned):
     first, inverse = _unique(_keys(rows))
     seqs = np.fromiter(map(tuple, rows[first].tolist()), dtype=object, count=len(first))
     members = seqs[inverse]
-    return frozenset(zip(members[0::2], members[1::2])), frozenset(seqs)
+    closure = rows.reshape(-1, 2, n)
+    return frozenset(zip(members[0::2], members[1::2])), frozenset(seqs), closure
 
 
 def build_omegas(n, pairs):
@@ -106,7 +114,16 @@ def build_omegas(n, pairs):
     # each input pair's class is its 16 images; the least key represents it
     reps = images[closed[np.unique(inverse.reshape(16, -1).min(axis=0))]].tolist()
     representatives = tuple((tuple(ra), tuple(rb)) for ra, rb in reps)
-    return OmegaSets(n, *_expand(n, images[closed]), representatives)
+    all_pairs, sequences, closure = _expand(n, images[closed])
+    return OmegaSets(n, all_pairs, sequences, representatives, closure)
+
+
+def sorted_closure(omegas):
+    """omegas.all_pairs as one (pairs, 2, n) exponent array, in the order of
+    sorted(omegas.all_pairs), from packed exponent-order keys."""
+    rows = omegas.closure
+    first, _ = _unique(_keys(rows.reshape(len(rows), -1), _EXPONENT_RANK))
+    return rows[first]
 
 
 def crossover_check(pair):

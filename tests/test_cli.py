@@ -145,6 +145,10 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
         (3, "L_A_n3.txt", "+0-\n", "masked slots are not those of a first member: '+0-'"),
         (4, "L_A_n4.txt", "+++-\n+++-\n", "not sorted after the line before, or repeated: '+++-'"),
         (4, "L_A_n4.txt", "++-+\n+++-\n", "not sorted after the line before, or repeated: '+++-'"),
+        (
+            4, "L_A_n4.txt", "+++-\n++ij\n++-+\n+j+-\n",
+            "odd half not in this run's L_odd: '+j+-'",
+        ),
         (3, "pairs_n3.txt", "4\t+++-\t++-+\n", "length 4, expected 3: '4\\t+++-\\t++-+'"),
         (
             3, "pairs_n3.txt", "3\t++-\t+j+\n3\t++-\t+i+\n",
@@ -159,6 +163,7 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
     ],
     ids=["pairs-garbage", "first-members-bad-character", "first-members-too-long",
          "first-members-masked", "first-members-repeated", "first-members-unsorted",
+         "first-members-half-not-listed",
          "pairs-other-length", "pairs-unsorted", "pairs-repeated",
          "pairs-first-member-not-in-L_A", "pairs-non-pair"],
 )

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -139,6 +140,63 @@ def test_stage_pass_mask_matches_fft_reference():
     assert verdicts == half_verdicts == {True, False}
 
 
+def _slot_rows(n, p):
+    """Entry values of every slot row of parity p that the half enumeration screens."""
+    m = len(range(p, n, 2))
+    exps = filters._mixed_radix_matrix(([1, 3 if p == 0 else 4] + [4] * m)[:m])
+    return np.array(core.ENTRY_VALUES)[exps]
+
+
+def _two_pass_reference(c0, coef, n):
+    """The half filter without its certificate: every point at the counts n, then FINE_SAMPLES."""
+    alive = np.arange(len(c0))
+    for count in (n, filters.FINE_SAMPLES):
+        points = count // math.gcd(count, 2)
+        alive = alive[filters._stage_pass_mask(c0[alive], coef[alive], 2 * n + filters.EPSILON, points)]
+    return alive
+
+
+def _verdicts(c0, coef, bound):
+    """How many rows the certificate passes, leaves undecided and fails."""
+    passed, undecided = filters._certificate(c0, coef, bound)
+    return {
+        "pass": int(passed.sum()),
+        "undecided": int(undecided.sum()),
+        "fail": int((~passed & ~undecided).sum()),
+    }
+
+
+def test_certificate_keeps_every_fine_verdict_at_n17():
+    # every slot row of both parities: 49,152 even and 16,384 odd rows
+    n = 17
+    verdicts = collections.Counter()
+    for p in (0, 1):
+        vals = _slot_rows(n, p)
+        c0, coef = filters._autocorrelations(vals)
+        want = _two_pass_reference(c0, coef, n)
+        assert np.array_equal(filters._hall_survivors(vals, n), want), p
+        assert len(want) == CANDIDATE_COUNTS[n][p]
+        alive = filters._stage_pass_mask(c0, coef, 2 * n + filters.EPSILON, n)
+        verdicts.update(_verdicts(c0[alive], coef[alive], 2 * n + filters.EPSILON))
+    # the fine grid still decides a few hundred rows, no more
+    assert min(verdicts.values()) > 0 and verdicts["undecided"] < 1000, verdicts
+
+
+def test_certificate_matches_the_fine_grid_on_random_rows():
+    rng = np.random.default_rng(20180517)
+    fine = filters.FINE_SAMPLES // 2
+    verdicts = collections.Counter()
+    for m in range(1, 13):
+        vals = np.array(core.ENTRY_VALUES)[rng.integers(0, 4, (300, m))]
+        c0, coef = filters._autocorrelations(vals)
+        n = 2 * m
+        for bound in (2 * n + filters.EPSILON, n + filters.EPSILON):
+            want = filters._stage_pass_mask(c0, coef, bound, fine)
+            assert np.array_equal(filters._fine_pass_mask(c0, coef, bound), want), (m, bound)
+            verdicts.update(_verdicts(c0, coef, bound))
+    assert min(verdicts.values()) > 0, verdicts
+
+
 def test_hall_filter_rejects_known_non_member():
     # [1,1,1] peaks at |h(1)|^2 = 9 > 6: caught by the coarse all-points pass
     assert not filters.passes_hall_filter((0, 0, 0), 3)
@@ -209,7 +267,7 @@ HALF_COUNTS = {
     6: (12, 16),
     7: (39, 16),
     8: (48, 64),
-    **{n: CANDIDATE_COUNTS[n][:2] for n in range(9, 15)},
+    **{n: CANDIDATE_COUNTS[n][:2] for n in range(9, 19)},
 }
 
 

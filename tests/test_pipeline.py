@@ -237,6 +237,22 @@ def test_a_shard_reloads_only_pairs_of_its_own_first_members(tmp_path):
     )
 
 
+def test_a_shard_checks_its_siblings_first_members_against_the_half_lists(tmp_path):
+    out = run_dir(tmp_path, "n6")
+    shard = {k: RunConfig(n=6, out_dir=out, shards=3, shard_index=k) for k in (1, 2, 3)}
+    for k in (1, 2):
+        with pytest.raises(pipeline.ShardWaiting):
+            pipeline.enumerate_pairs(shard[k])
+    # a sibling's L_A of the right shape whose even half is not in L_even
+    shard[3].path_survivors().write_text("++++++\n-+++++\n")
+    with pytest.raises(pipeline.ArtifactError) as exc:
+        pipeline.enumerate_pairs(shard[1])
+    assert str(exc.value) == (
+        f"{shard[3].path_survivors()}:2: even half not in this run's L_even: '-+++++'"
+    )
+    assert not shard[1].path_pairs().exists()
+
+
 def test_length_one_blank_odd_half_is_one_item_across_shards(tmp_path):
     survivors = []
     for k in (1, 2):

@@ -70,7 +70,8 @@ def test_census_equals_closure_reference_on_unnormalized_inputs(reference, n):
         assert census_fields(build_omegas(n, pairs)) == ref["census"]
 
 
-@pytest.mark.parametrize("n", [10, 12])
+# at length 1 the ramp offsets fix every pair, so the closure's rows repeat
+@pytest.mark.parametrize("n", [1, 10, 12])
 def test_postprocess_files_equal_closure_reference(reference, tmp_path, capsys, n):
     ref = reference(n)
     closure, _, reps = ref["census"]
@@ -94,6 +95,8 @@ def test_census_of_a_length_64_pair_equals_its_closure(seed):
     closure = equivalence_closure([(a, b)])
     omegas = build_omegas(64, [(a, b)])
     assert omegas.all_pairs == closure
+    rows = postprocess.sorted_closure(omegas).tolist()
+    assert [(tuple(ra), tuple(rb)) for ra, rb in rows] == sorted(closure)
     assert omegas.sequences == frozenset(s for p in closure for s in p)
     assert omegas.representatives == (min(closure, key=text_key),)
 
