@@ -119,7 +119,7 @@ def _cmd_postprocess(args):
     _make_out_dir(args)
     rows = []
     for n in sorted(by_length):
-        omegas = postprocess.build_omegas(n, sorted(by_length[n]))
+        omegas = postprocess.build_omegas(n, by_length[n])
         rows.append((n,) + omegas.counts)
         pipeline.write_pairs(
             args.out / f"pairs_all_n{n}.txt", n, postprocess.sorted_closure(omegas)
@@ -169,7 +169,7 @@ def _cmd_oracle(args):
 
 def _cmd_counts(args):
     by_length = _read_by_length(args)
-    rows = postprocess.census_rows({n: sorted(ps) for n, ps in by_length.items()})
+    rows = postprocess.census_rows(by_length)
     sys.stdout.write(_census_csv(rows))
     return 0
 

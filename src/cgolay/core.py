@@ -5,9 +5,12 @@ A quaternary sequence has entries drawn from the fourth roots of unity
 is i**c), so multiplication is exponent addition mod 4 and conjugation is
 exponent negation mod 4.  Complementarity checks are exact: aperiodic
 autocorrelations are Gaussian integers held as plain (re, im) int pairs,
-never floats.  golay_mask checks rows of exponent matrices with the same
-sums, for the pipeline and the census.  is_golay_pair stays scalar Python:
-the partner search checks one candidate at a time, and it is the reference.
+never floats.  autocorrelations is the one vectorized form: exact int16
+(re, im) of every shift of every row of an exponent matrix.  The half
+filter, stage 2's self-join and golay_mask, which checks pairs for the
+pipeline and the census, all take their autocorrelations from it.
+autocorr and is_golay_pair stay scalar Python: the partner search checks
+one candidate at a time, and they are the kernel's reference.
 
 Half-sequences produced by the even/odd split keep their original length
 and carry None in the vacated slots.  A None slot behaves like the value
@@ -30,7 +33,6 @@ Pair = tuple  # (A, B), two full QuatSeq of equal length
 ENTRY_RE = (1, 0, -1, 0)
 ENTRY_IM = (0, 1, 0, -1)
 ENTRY_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
-_ENTRY_PARTS = np.array([ENTRY_RE, ENTRY_IM], dtype=np.int32).T  # (4, 2): re, im
 
 _CHAR_FOR_EXP = {0: "+", 1: "i", 2: "-", 3: "j", None: "0"}
 _EXP_FOR_CHAR = {"+": 0, "i": 1, "-": 2, "j": 3, "0": None}
@@ -111,15 +113,33 @@ def is_golay_pair(pair):
     return True
 
 
+def autocorrelations(x):
+    """Exact c_s, s = 1..n-1, of every row of a (rows, n) exponent matrix.
+
+    Returns int16 of shape (rows, 2, n - 1): [r, 0, s - 1] is Re c_s of row
+    r and [r, 1, s - 1] is Im c_s, with autocorr's c_s = sum_k x_k *
+    conj(x_(k+s)).  Length 1 has no shifts.
+    """
+    t = np.ascontiguousarray(np.asarray(x, dtype=np.int8).T)  # a shift slices whole rows
+    n, rows = t.shape
+    out = np.empty((2, n - 1, rows), dtype=np.int16)
+    # chunk the rows so the temporaries stay small
+    step = 1 << 14
+    for lo in range(0, rows, step):
+        chunk, part = t[:, lo : lo + step], out[..., lo : lo + step]
+        for s in range(1, n):
+            e = (chunk[: n - s] - chunk[s:]) & 3  # exponent of x_k * conj(x_(k+s))
+            odd = e & 1
+            # i^e is 1 - e for even e and (2 - e) * i for odd e
+            np.sum((1 - e) * (1 - odd), axis=0, dtype=np.int16, out=part[0, s - 1])
+            np.sum((2 - e) * odd, axis=0, dtype=np.int16, out=part[1, s - 1])
+    return out.transpose(2, 0, 1)
+
+
 def golay_mask(a, b):
     """Per row r of two (rows, n) exponent matrices: is (a[r], b[r]) a Golay
     pair, by is_golay_pair's integer (re, im) sums at every shift."""
-    x = np.stack([a, b])  # (2, rows, n)
-    n = x.shape[-1]
-    ok = np.ones(x.shape[1], dtype=bool)
-    for s in range(1, n):
-        ok &= ~_ENTRY_PARTS[(x[..., : n - s] - x[..., s:]) & 3].sum(axis=(0, 2)).any(axis=1)
-    return ok
+    return ~(autocorrelations(a) + autocorrelations(b)).any(axis=(1, 2))
 
 
 def entry_sum(seq):

@@ -17,10 +17,12 @@ transform of the entries: at w = e^(it),
 
     |g(w)|^2 = c_0 + 2 * sum_s (Re c_s * cos(s*t) + Im c_s * sin(s*t)).
 
-Every c_s is a small Gaussian integer, so float64 holds it exactly; one
-real matrix product with a cos/sin table evaluates a whole batch of rows.
-The float error is about 1e-14, far below the EPSILON added to the bound,
-so rejection is always sound.
+The c_s come exact, in integers, from core.autocorrelations of the slot
+rows, and c_0 = m for a slot row of m entries.  Every c_s is a small
+Gaussian integer, so float64 holds it exactly; one real matrix product
+with a cos/sin table evaluates a whole batch of rows.  The float error is
+about 1e-14, far below the EPSILON added to the bound, so rejection is
+always sound.
 
 A second, fully exact test works on entry sums: for a pair member, the
 real and imaginary parts (R, I) of the entry sum -- and of the entry sum
@@ -111,36 +113,6 @@ def spectrum(seq, sample_count):
     return row.real**2 + row.imag**2
 
 
-def autocorrelation_matrix(vals):
-    """Every row's aperiodic autocorrelation c_s, s = 0..n-1, as complex64.
-
-    c_s = sum_k a_k * conj(a_(k+s)), the core.autocorr convention.  Entries
-    are fourth roots of unity or 0, so every c_s is a small Gaussian
-    integer.  The half filter and stage 2's self-join
-    (pipeline.partner_join) both take their autocorrelations from here.
-    """
-    rows, n = vals.shape
-    # complex64 holds the small integers exactly; chunk rows to bound temporaries
-    c = np.empty((rows, n), dtype=np.complex64)
-    step = 1 << 14
-    for lo in range(0, rows, step):
-        v = vals[lo : lo + step]
-        for s in range(n):
-            c[lo : lo + step, s] = (v[:, : n - s] * v[:, s:].conj()).sum(axis=1)
-    return c
-
-
-def _autocorrelations(vals):
-    """(c_0, coef) of every row's aperiodic autocorrelation c_s.
-
-    coef holds Re c_s for the shifts s = 1..m-1 of a row of length m, then
-    Im c_s, exact in float64.
-    """
-    c = autocorrelation_matrix(vals)
-    coef = np.concatenate([c[:, 1:].real, c[:, 1:].imag], axis=1)
-    return c[:, 0].real.astype(np.float64), coef.astype(np.float64)
-
-
 def _power_table(length, sample_count):
     """cos/sin rows, one per shift s = 1..length-1, at every point of a sample count.
 
@@ -152,23 +124,27 @@ def _power_table(length, sample_count):
     return np.concatenate([np.cos(angle), np.sin(angle)])
 
 
-def _sampled_peaks(c0, coef, sample_count):
-    """Each row's largest sampled |h|^2, from its _autocorrelations.
+def _sampled_peaks(coef, sample_count):
+    """Each row's largest sampled |h|^2, from its coef.
 
-    |h|^2 = c_0 + 2 * (coef @ table) at every point of the sample count.
+    coef holds Re c_s for the shifts s = 1..m-1 of a row of m entries, then
+    Im c_s, in float64: core.autocorrelations, flattened per row.  With
+    c_0 = m, |h|^2 = m + 2 * (coef @ table) at every point of the sample
+    count.
     """
-    table = _power_table(coef.shape[1] // 2 + 1, sample_count)
+    length = coef.shape[1] // 2 + 1
+    table = _power_table(length, sample_count)
     out = np.empty(coef.shape[0])
     # chunk the rows so the product stays inside 2^21 elements (~16MB)
     step = max(1, (1 << 21) // table.shape[1])
     for lo in range(0, coef.shape[0], step):
-        out[lo : lo + step] = c0[lo : lo + step] + 2 * (coef[lo : lo + step] @ table).max(axis=1)
+        out[lo : lo + step] = length + 2 * (coef[lo : lo + step] @ table).max(axis=1)
     return out
 
 
-def _stage_pass_mask(c0, coef, bound, sample_count):
+def _stage_pass_mask(coef, bound, sample_count):
     """Row mask of candidates whose sampled |h|^2 never exceeds bound."""
-    return _sampled_peaks(c0, coef, sample_count) <= bound
+    return _sampled_peaks(coef, sample_count) <= bound
 
 
 # the certificate's float margin: far above the rounding of a sampled
@@ -176,8 +152,8 @@ def _stage_pass_mask(c0, coef, bound, sample_count):
 _MARGIN = 1e-9
 
 
-def _certificate(c0, coef, bound):
-    """The certificate's verdicts on slot rows, given their _autocorrelations.
+def _certificate(coef, bound):
+    """The certificate's verdicts on slot rows, given their _sampled_peaks coef.
 
     Returns the masks (certain pass, undecided); every other row fails for
     certain.  The rows are sampled at M points, the least power of two
@@ -190,21 +166,21 @@ def _certificate(c0, coef, bound):
     while count < fine and (degree * math.pi / count) ** 2 / 2 > 0.01:
         count *= 2
     factor = 1 - (degree * math.pi / count) ** 2 / 2
-    peaks = _sampled_peaks(c0, coef, count)
+    peaks = _sampled_peaks(coef, count)
     passed = peaks <= bound * factor - _MARGIN
     return passed, ~passed & (peaks <= bound + _MARGIN)
 
 
-def _fine_pass_mask(c0, coef, bound):
+def _fine_pass_mask(coef, bound):
     """_stage_pass_mask at the FINE_SAMPLES / 2 points w, from the certificate
     where it decides and from every point where it does not."""
-    passed, undecided = _certificate(c0, coef, bound)
-    passed[undecided] = _stage_pass_mask(c0[undecided], coef[undecided], bound, FINE_SAMPLES // 2)
+    passed, undecided = _certificate(coef, bound)
+    passed[undecided] = _stage_pass_mask(coef[undecided], bound, FINE_SAMPLES // 2)
     return passed
 
 
-def _hall_survivors(vals, n):
-    """Indices of the slot rows in vals whose half keeps |h|^2 within 2n + EPSILON.
+def _hall_survivors(exps, n):
+    """Indices of the slot rows of exps whose half keeps |h|^2 within 2n + EPSILON.
 
     All N / gcd(N, 2) points w = z^2 are checked at the coarse count N = n.
     The rows still alive then face the FINE_SAMPLES / 2 points w of
@@ -214,11 +190,11 @@ def _hall_survivors(vals, n):
     certain verdicts keep _MARGIN from their bounds, so the survivors are
     exactly those of sampling every fine point.
     """
-    c0, coef = _autocorrelations(vals)
+    coef = core.autocorrelations(exps).reshape(len(exps), -1).astype(np.float64)
     bound = 2 * n + EPSILON
-    alive = np.flatnonzero(_stage_pass_mask(c0, coef, bound, n // math.gcd(n, 2)))
+    alive = np.flatnonzero(_stage_pass_mask(coef, bound, n // math.gcd(n, 2)))
     if FINE_SAMPLES > n:
-        alive = alive[_fine_pass_mask(c0[alive], coef[alive], bound)]
+        alive = alive[_fine_pass_mask(coef[alive], bound)]
     return alive
 
 
@@ -319,7 +295,7 @@ def enumerate_half_candidates(n, parity):
     # leading entry pinned to 1; for the even half the next entry (slot 2)
     # additionally avoids -i, mirroring pair normalization
     exps = _mixed_radix_matrix(([1, 3 if p == 0 else 4] + [4] * m)[:m])
-    alive = _hall_survivors(np.array(core.ENTRY_VALUES)[exps], n)
+    alive = _hall_survivors(exps, n)
     out = []
     for entries in exps[alive].tolist():
         row = [None] * n

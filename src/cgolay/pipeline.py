@@ -12,10 +12,11 @@ interrupted or repeated invocation picks up whatever already exists:
    sweep (file L_A).  The odd axis is the work loop: a shard takes one
    contiguous span of it, filters.HalfJoin builds the half tables for that
    span once, before any worker forks, and worker chunks only sweep;
-3. stage 2 -- join L_A with itself on autocorrelations (partner_join,
-   file pairs), in the calling process.  A shard joins its own L_A with
-   every shard's L_A file in the directory; until all of them exist it
-   stops after stage 1 (ShardWaiting), and a rerun runs stage 2 alone.
+3. stage 2 -- join L_A with itself on exact integer autocorrelations
+   (partner_join, core.autocorrelations; file pairs), in the calling
+   process.  A shard joins its own L_A with every shard's L_A file in
+   the directory; until all of them exist it stops after stage 1
+   (ShardWaiting), and a rerun runs stage 2 alone.
 
 All persisted lists are sorted, so outputs are byte-reproducible and the
 union of shard outputs equals the unsharded output.  Each write goes
@@ -263,6 +264,7 @@ def _stage1_worker(span):
 
 
 def _run_chunked(worker, total, workers):
+    workers = min(workers, os.cpu_count() or 1)  # more processes than CPUs buy nothing
     pieces = workers * 4 if workers > 1 else 1  # every span re-sorts its classes
     spans = [shard_span(total, pieces, k) for k in range(1, pieces + 1)]
     spans = [(lo, hi) for lo, hi in spans if lo < hi]
@@ -319,22 +321,6 @@ def run_stage1(cfg, evens, odds):
     return survivors
 
 
-# i^(-u) by u mod 4: a ramp by i^t multiplies c_s by i^(-t*s)
-_ROTATIONS = np.array([1, -1j, -1, 1j], dtype=np.complex64)
-
-
-def _correlations(seqs, n):
-    """Entry exponents of full sequences, and their c_s for s = 1..n-1."""
-    exps = np.array(seqs, dtype=np.int8).reshape(len(seqs), n)
-    return exps, filters.autocorrelation_matrix(np.array(core.ENTRY_VALUES)[exps])[:, 1:]
-
-
-def _key_bytes(c):
-    """One exact hash key per row of an autocorrelation matrix."""
-    keys = np.rint(np.concatenate([c.real, c.imag], axis=1)).astype(np.int32)
-    return [row.tobytes() for row in keys]
-
-
 def partner_join(n, firsts, members):
     """All normalized pairs (A, B) with A in firsts, sorted.
 
@@ -342,26 +328,23 @@ def partner_join(n, firsts, members):
     L_A).  Swapping a pair (E3) and normalizing it only scales, ramps and
     maybe conjugates its second member, so every partner B with b_0 = 1
     is ramp^t(X) or ramp^t(conj X) for some X in members and t in 0..3.
-    One autocorrelation matrix of the members keys all 8 candidates, as
-    c_s(ramp^t X) = i^(-ts) c_s(X) and c(conj X) = conj c(X), and each A
-    looks up -c(A).  Every hit is re-verified exactly, in one golay_mask.
+    The distinct candidates are keyed by their exact autocorrelations
+    (core.autocorrelations), and each A looks up -c(A).  Every hit is
+    re-verified exactly, in one golay_mask.
     """
     if not firsts or not members:
         return []
-    shifts = np.arange(1, n)
-    exps, c = _correlations(members, n)
-    rows, keys = [], []
-    for sign, cs in ((1, c), (-1, c.conj())):
-        for t in range(4):
-            rows.append((sign * exps + t * np.arange(n)) & 3)
-            keys.append(cs * _ROTATIONS[t * shifts % 4])
-    # equal candidates have equal keys: keep one of each
-    rows, first = np.unique(np.concatenate(rows), axis=0, return_index=True)
+    exps = np.array(members, dtype=np.int8).reshape(len(members), n)
+    ramp = np.arange(n, dtype=np.int8)
+    rows = np.unique(
+        np.concatenate([(x + t * ramp) & 3 for x in (exps, -exps) for t in range(4)]), axis=0
+    )
     table = {}
-    for row, key in enumerate(_key_bytes(np.concatenate(keys)[first])):
-        table.setdefault(key, []).append(row)
-    starts, c = _correlations(firsts, n)
-    hits = [(i, row) for i, key in enumerate(_key_bytes(-c)) for row in table.get(key, ())]
+    for row, key in enumerate(core.autocorrelations(rows).reshape(len(rows), -1)):
+        table.setdefault(key.tobytes(), []).append(row)
+    starts = np.array(firsts, dtype=np.int8).reshape(len(firsts), n)
+    wanted = -core.autocorrelations(starts).reshape(len(starts), -1)
+    hits = [(i, row) for i, key in enumerate(wanted) for row in table.get(key.tobytes(), ())]
     at, row = np.array(hits, dtype=np.intp).reshape(-1, 2).T
     pairs = list(zip((firsts[i] for i in at), map(tuple, rows[row].tolist())))
     ok = core.golay_mask(starts[at], rows[row])

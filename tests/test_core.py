@@ -64,6 +64,19 @@ def test_autocorr_masked_slots_drop_terms():
     assert core.autocorr(a, 2) == (-1, 0)
 
 
+def test_autocorrelations_match_autocorr_row_by_row():
+    # golay_mask, the half filter and the self-join are all blind to a kernel
+    # that conjugates every c_s; only a comparison with autocorr sees it
+    rng = np.random.default_rng(20180518)
+    shapes = [(60, n) for n in range(1, 25)] + [(0, 1), (0, 5), (20000, 4)]
+    for rows, n in shapes:
+        x = rng.integers(0, 4, (rows, n)).astype(np.int8)
+        got = core.autocorrelations(x)
+        assert got.dtype == np.int16 and got.shape == (rows, 2, n - 1)
+        for row, c in zip(x.tolist(), got.tolist()):
+            assert [core.autocorr(tuple(row), s) for s in range(1, n)] == list(zip(*c)), row
+
+
 # ---------------------------------------------------------------------------
 # pair membership
 

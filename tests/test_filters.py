@@ -87,16 +87,9 @@ def test_hall_filter_accepts_pair_members(tmp_path):
                     assert filters.passes_hall_filter(half, n)
 
 
-def _random_rows(rng, n, count):
-    """Full sequences and masked halves of length n, mixed."""
-    rows = []
-    for _ in range(count):
-        seq = [rng.randrange(4) for _ in range(n)]
-        kind = rng.randrange(3)
-        if kind:  # an even (1) or odd (2) half
-            seq = [c if k % 2 == kind - 1 else None for k, c in enumerate(seq)]
-        rows.append(tuple(seq))
-    return rows
+def _coef(exps):
+    """The half filter's coef of the rows of an exponent matrix."""
+    return core.autocorrelations(exps).reshape(len(exps), -1).astype(np.float64)
 
 
 def _random_halves(rng, n, p, count):
@@ -116,24 +109,22 @@ def test_stage_pass_mask_matches_fft_reference():
     half_rng = random.Random(20180516)
     verdicts, half_verdicts = set(), set()
     for n in range(1, 17):
-        rows = _random_rows(rng, n, 40)
-        vals = [[0 if c is None else core.ENTRY_VALUES[c] for c in r] for r in rows]
-        acf = filters._autocorrelations(np.array(vals, dtype=complex))
+        rows = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(40)]
+        coef = _coef(np.array(rows))
         # the half filter's identity: a half's slot row g at the N / gcd(N, 2)
         # points w = z^2 gives the verdict of the masked half at N points
         halves = []
         for p in range(min(n, 2)):
             slot_rows, masked = _random_halves(half_rng, n, p, 40)
-            vals = np.array(core.ENTRY_VALUES)[np.array(slot_rows)]
-            halves.append((filters._autocorrelations(vals), masked))
+            halves.append((_coef(np.array(slot_rows)), masked))
         for count in (n, 2**14):
             for bound in (2 * n + 1e-3, n + 1e-3):
-                got = filters._stage_pass_mask(*acf, bound, count)
+                got = filters._stage_pass_mask(coef, bound, count)
                 want = np.array([filters.spectrum(r, count).max() for r in rows]) <= bound
                 assert np.array_equal(got, want), (n, count, bound)
                 verdicts.update(want.tolist())
-                for half_acf, masked in halves:
-                    got = filters._stage_pass_mask(*half_acf, bound, count // math.gcd(count, 2))
+                for half_coef, masked in halves:
+                    got = filters._stage_pass_mask(half_coef, bound, count // math.gcd(count, 2))
                     want = np.array([filters.spectrum(r, count).max() for r in masked]) <= bound
                     assert np.array_equal(got, want), (n, count, bound, masked[0])
                     half_verdicts.update(want.tolist())
@@ -141,24 +132,23 @@ def test_stage_pass_mask_matches_fft_reference():
 
 
 def _slot_rows(n, p):
-    """Entry values of every slot row of parity p that the half enumeration screens."""
+    """Every slot row of parity p that the half enumeration screens, as exponents."""
     m = len(range(p, n, 2))
-    exps = filters._mixed_radix_matrix(([1, 3 if p == 0 else 4] + [4] * m)[:m])
-    return np.array(core.ENTRY_VALUES)[exps]
+    return filters._mixed_radix_matrix(([1, 3 if p == 0 else 4] + [4] * m)[:m])
 
 
-def _two_pass_reference(c0, coef, n):
+def _two_pass_reference(coef, n):
     """The half filter without its certificate: every point at the counts n, then FINE_SAMPLES."""
-    alive = np.arange(len(c0))
+    alive = np.arange(len(coef))
     for count in (n, filters.FINE_SAMPLES):
         points = count // math.gcd(count, 2)
-        alive = alive[filters._stage_pass_mask(c0[alive], coef[alive], 2 * n + filters.EPSILON, points)]
+        alive = alive[filters._stage_pass_mask(coef[alive], 2 * n + filters.EPSILON, points)]
     return alive
 
 
-def _verdicts(c0, coef, bound):
+def _verdicts(coef, bound):
     """How many rows the certificate passes, leaves undecided and fails."""
-    passed, undecided = filters._certificate(c0, coef, bound)
+    passed, undecided = filters._certificate(coef, bound)
     return {
         "pass": int(passed.sum()),
         "undecided": int(undecided.sum()),
@@ -171,13 +161,13 @@ def test_certificate_keeps_every_fine_verdict_at_n17():
     n = 17
     verdicts = collections.Counter()
     for p in (0, 1):
-        vals = _slot_rows(n, p)
-        c0, coef = filters._autocorrelations(vals)
-        want = _two_pass_reference(c0, coef, n)
-        assert np.array_equal(filters._hall_survivors(vals, n), want), p
+        exps = _slot_rows(n, p)
+        coef = _coef(exps)
+        want = _two_pass_reference(coef, n)
+        assert np.array_equal(filters._hall_survivors(exps, n), want), p
         assert len(want) == CANDIDATE_COUNTS[n][p]
-        alive = filters._stage_pass_mask(c0, coef, 2 * n + filters.EPSILON, n)
-        verdicts.update(_verdicts(c0[alive], coef[alive], 2 * n + filters.EPSILON))
+        alive = filters._stage_pass_mask(coef, 2 * n + filters.EPSILON, n)
+        verdicts.update(_verdicts(coef[alive], 2 * n + filters.EPSILON))
     # the fine grid still decides a few hundred rows, no more
     assert min(verdicts.values()) > 0 and verdicts["undecided"] < 1000, verdicts
 
@@ -187,13 +177,12 @@ def test_certificate_matches_the_fine_grid_on_random_rows():
     fine = filters.FINE_SAMPLES // 2
     verdicts = collections.Counter()
     for m in range(1, 13):
-        vals = np.array(core.ENTRY_VALUES)[rng.integers(0, 4, (300, m))]
-        c0, coef = filters._autocorrelations(vals)
+        coef = _coef(rng.integers(0, 4, (300, m)))
         n = 2 * m
         for bound in (2 * n + filters.EPSILON, n + filters.EPSILON):
-            want = filters._stage_pass_mask(c0, coef, bound, fine)
-            assert np.array_equal(filters._fine_pass_mask(c0, coef, bound), want), (m, bound)
-            verdicts.update(_verdicts(c0, coef, bound))
+            want = filters._stage_pass_mask(coef, bound, fine)
+            assert np.array_equal(filters._fine_pass_mask(coef, bound), want), (m, bound)
+            verdicts.update(_verdicts(coef, bound))
     assert min(verdicts.values()) > 0, verdicts
 
 
@@ -463,8 +452,7 @@ def test_constructed_first_members_survive_both_filters(checks, n):
         for s in (a, b):
             for p, half in enumerate(core.split_even_odd(s)):
                 assert filters.passes_hall_filter(half, n), (half, pair)
-                slot_row = np.array(core.ENTRY_VALUES)[[half[p::2]]]
-                assert filters._hall_survivors(slot_row, n).size == 1, (half, pair)
+                assert filters._hall_survivors(np.array([half[p::2]]), n).size == 1, (half, pair)
         even, odd = core.split_even_odd(a)
         assert filters.HalfJoin(n, [even], [odd]).sweep(0, 1) == [a], pair
 

@@ -389,6 +389,8 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
         Pool = SerialPool
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    # the pool is capped at the CPU count; 3 CPUs leave 3 workers alone
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     # 3 workers cut 2 items into 12 spans, only 2 of them non-empty
     assert pipeline._run_chunked(lambda span: [span], 2, 3) == [(0, 1), (1, 2)]
     assert pipeline._run_chunked(lambda span: [span], 9, 3) == [(k, k + 1) for k in range(9)]
@@ -396,6 +398,9 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     # one worker sweeps the whole axis in one call, in this process
     assert pipeline._run_chunked(lambda span: [span], 9, 1) == [(0, 9)]
     assert sizes == [2, 3]
+    # more workers than CPUs fork one process per CPU, over 4 spans each
+    assert len(pipeline._run_chunked(lambda span: [span], 100, os.cpu_count() + 5)) == 12
+    assert sizes == [2, 3, 3]
 
 
 def test_reload_names_the_first_non_pair(tmp_path):
