@@ -17,6 +17,8 @@ import resource
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import core, oracle, pipeline, postprocess
 
 
@@ -121,12 +123,9 @@ def _cmd_postprocess(args):
     for n in sorted(by_length):
         omegas = postprocess.build_omegas(n, by_length[n])
         rows.append((n,) + omegas.counts)
-        pipeline.write_pairs(
-            args.out / f"pairs_all_n{n}.txt", n, postprocess.sorted_closure(omegas)
-        )
-        pipeline.write_pairs(
-            args.out / f"reps_n{n}.txt", n, list(omegas.representatives)
-        )
+        pipeline.write_pairs(args.out / f"pairs_all_n{n}.txt", n, omegas.closure)
+        reps = np.array(omegas.representatives, dtype=np.int8)
+        pipeline.write_pairs(args.out / f"reps_n{n}.txt", n, reps)
         failing = [p for p in omegas.representatives if not postprocess.crossover_check(p)]
         passing = len(omegas.representatives) - len(failing)
         print(f"crossover n={n}: {passing}/{len(omegas.representatives)} classes pass")

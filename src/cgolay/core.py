@@ -10,7 +10,8 @@ never floats.  autocorrelations is the one vectorized form: exact int16
 filter, stage 2's self-join and golay_mask, which checks pairs for the
 pipeline and the census, all take their autocorrelations from it.
 autocorr and is_golay_pair stay scalar Python: the partner search checks
-one candidate at a time, and they are the kernel's reference.
+one candidate at a time, and they are the kernel's reference.  pin works
+on (rows, 2, n) pair arrays too; it serves the census and normalize.
 
 Half-sequences produced by the even/odd split keep their original length
 and carry None in the vacated slots.  A None slot behaves like the value
@@ -190,14 +191,12 @@ def apply_equivalence(op, pair):
     return fn(pair)
 
 
-def pin(pair):
-    """Pin a pair: scale and ramp it (E3, E4, E5) to a[0] = a[1] = b[0] = 1."""
-    a, b = pair
-    t = (a[0] - a[1]) & 3 if len(a) >= 2 else 0
-    return (
-        tuple((x - a[0] + t * k) & 3 for k, x in enumerate(a)),
-        tuple((x - b[0] + t * k) & 3 for k, x in enumerate(b)),
-    )
+def pin(x):
+    """Pin every pair (a, b) of a (rows, 2, n) exponent array: scale and ramp
+    it (E3, E4, E5) to a[0] = a[1] = b[0] = 1.  Returns int8 of the same shape."""
+    t = (x[:, 0, :1] - x[:, 0, 1:2]) & 3 if x.shape[-1] >= 2 else 0
+    ramp = (t * np.arange(x.shape[-1])).reshape(-1, 1, x.shape[-1])
+    return ((x - x[:, :, :1] + ramp) & 3).astype(np.int8)
 
 
 def normalize(pair):
@@ -212,12 +211,12 @@ def normalize(pair):
     n = len(a)
     if n == 0 or len(b) != n:
         raise ValueError("pair members must be nonempty and of equal length")
-    a, b = pin(pair)
-    if n >= 3 and a[2] == 3:
+    x = pin(np.array([pair], dtype=np.int8))
+    if n >= 3 and x[0, 0, 2] == 3:
         # E1 then E2 conjugates A in place and reverses B; turns a[2] = -i
         # into i while keeping a[0] = a[1] = 1, and B is pinned again
-        a, b = pin((conj_seq(a), b[::-1]))
-    return (a, b)
+        x = pin(np.stack([-x[:, 0] & 3, x[:, 1, ::-1]], axis=1))
+    return tuple(map(tuple, x[0].tolist()))
 
 
 def is_normalized(pair):

@@ -14,9 +14,11 @@ interrupted or repeated invocation picks up whatever already exists:
    span once, before any worker forks, and worker chunks only sweep;
 3. stage 2 -- join L_A with itself on exact integer autocorrelations
    (partner_join, core.autocorrelations; file pairs), in the calling
-   process.  A shard joins its own L_A with every shard's L_A file in
-   the directory; until all of them exist it stops after stage 1
-   (ShardWaiting), and a rerun runs stage 2 alone.
+   process.  The pairs stay one (pairs, 2, n) exponent array from the
+   join to the file; run_stage2 returns them as tuple pairs.  A shard
+   joins its own L_A with every shard's L_A file in the directory; until
+   all of them exist it stops after stage 1 (ShardWaiting), and a rerun
+   runs stage 2 alone.
 
 All persisted lists are sorted, so outputs are byte-reproducible and the
 union of shard outputs equals the unsharded output.  Each write goes
@@ -41,7 +43,6 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,8 @@ def parse_pair_line(line):
         raise ValueError(f"expected three tab-separated fields: {line!r}")
     n_text, a_text, b_text = fields
     n = int(n_text)
+    if n_text != str(n):
+        raise ValueError(f"length field {n_text!r} is not written as {str(n)!r}: {line!r}")
     if n < 1:
         raise ValueError(f"length field must be at least 1: {line!r}")
     a, b = core.from_text(a_text), core.from_text(b_text)
@@ -200,14 +203,9 @@ def parse_pair_line(line):
 
 
 def write_pairs(path, n, pairs):
-    """Write pair_line(n, p) and a newline per pair, rendered by one byte lookup.
-
-    pairs are tuple pairs or a (pairs, 2, n) exponent array.
-    """
+    """Write pair_line(n, p) and a newline per pair p of a (pairs, 2, n)
+    exponent array, rendered by one byte lookup."""
     codes = np.full((len(pairs), 2, n + 1), [[4], [5]], np.uint8)  # tab after A, newline after B
-    if not isinstance(pairs, np.ndarray):
-        entries = bytes(chain.from_iterable(chain.from_iterable(pairs)))  # faster than np.array
-        pairs = np.frombuffer(entries, dtype=np.uint8).reshape(-1, 2, n)
     codes[:, :, :n] = pairs
     text = np.frombuffer(b"+i-j\t\n", dtype=np.uint8)[codes].reshape(len(pairs), 2 * n + 2)
     prefix = np.tile(np.frombuffer(f"{n}\t".encode(), dtype=np.uint8), (len(pairs), 1))
@@ -322,7 +320,8 @@ def run_stage1(cfg, evens, odds):
 
 
 def partner_join(n, firsts, members):
-    """All normalized pairs (A, B) with A in firsts, sorted.
+    """All normalized pairs (A, B) with A in firsts, as one (pairs, 2, n)
+    int8 exponent array in the order of sorted tuple pairs.
 
     members must hold every normalized first member of length n (all of
     L_A).  Swapping a pair (E3) and normalizing it only scales, ramps and
@@ -333,7 +332,7 @@ def partner_join(n, firsts, members):
     re-verified exactly, in one golay_mask.
     """
     if not firsts or not members:
-        return []
+        return np.empty((0, 2, n), dtype=np.int8)
     exps = np.array(members, dtype=np.int8).reshape(len(members), n)
     ramp = np.arange(n, dtype=np.int8)
     rows = np.unique(
@@ -346,11 +345,11 @@ def partner_join(n, firsts, members):
     wanted = -core.autocorrelations(starts).reshape(len(starts), -1)
     hits = [(i, row) for i, key in enumerate(wanted) for row in table.get(key.tobytes(), ())]
     at, row = np.array(hits, dtype=np.intp).reshape(-1, 2).T
-    pairs = list(zip((firsts[i] for i in at), map(tuple, rows[row].tolist())))
-    ok = core.golay_mask(starts[at], rows[row])
+    pairs = np.stack([starts[at], rows[row]], axis=1)
+    ok = core.golay_mask(pairs[:, 0], pairs[:, 1])
     if not ok.all():
-        raise RuntimeError(f"self-join produced a non-pair {pairs[ok.argmin()]!r}")
-    return sorted(pairs)
+        raise RuntimeError(f"self-join produced a non-pair {pairs[ok.argmin()].tolist()!r}")
+    return pairs[np.lexsort(pairs.reshape(-1, 2 * n).T[::-1])]
 
 
 class ShardWaiting(Exception):
@@ -382,7 +381,7 @@ def run_stage2(cfg, survivors, evens, odds):
         members = [m for p in paths for m in read_candidates(p, cfg.n, halves=(evens, odds))]
     pairs = partner_join(cfg.n, survivors, members)
     write_pairs(cfg.path_pairs(), cfg.n, pairs)
-    return pairs
+    return [(tuple(a), tuple(b)) for a, b in pairs.tolist()]
 
 
 def _render_report(cfg, counts):

@@ -13,8 +13,10 @@ both, then maybe a swap.  So a class is the 16 pinned images of any of its
 pairs, expanded by the 64 offsets.  Keys hold 2 bits per entry in text
 order ('+' < '-' < 'i' < 'j'), 32 per uint64 word; pinning never raises a
 text key, so the least key of a class's images is its least pair.  The
-census files list the closure in exponent order, as tuples sort: the same
-packing with exponents ranked 0..3 (sorted_closure).
+closure is held once, as one (pairs, 2, n) exponent array in the order the
+census files list it, exponent order as tuples sort: the same packing with
+exponents ranked 0..3, a pair's key being its members' keys.  Tuple sets
+of the closure are built only when read (OmegaSets).
 
 The crossover test is a structural diagnostic relating mirrored entries of
 the two members; it holds for every class at small lengths except a single
@@ -24,6 +26,7 @@ length-8 class, and is reported, never enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,26 +38,33 @@ _EXPONENT_RANK = np.arange(4, dtype=np.uint64)  # exponent order, as tuples sort
 
 @dataclass(frozen=True)
 class OmegaSets:
-    """Closure census of an enumeration run at one length."""
+    """Closure census of an enumeration run at one length.
+
+    closure holds every pair in any class once, as a (pairs, 2, n) exponent
+    array in the order of sorted tuples, which is the order of the
+    pairs_all_n*.txt file.  all_pairs and sequences are tuple views of it,
+    built on first read; counts reads the array and the member count.
+    """
 
     length: int
-    all_pairs: frozenset  # every pair in any class
-    sequences: frozenset  # every sequence appearing as a member
-    representatives: tuple  # lexicographically least pair per class
-    # all_pairs as (rows, 2, n) exponents, unordered; length 1 repeats pairs
     closure: np.ndarray = field(repr=False, compare=False)
+    representatives: tuple  # lexicographically least pair per class
+    members: int  # distinct sequences appearing as a member
 
     @property
     def counts(self):
         """(sequences, pairs, classes) -- the headline census triple."""
-        return (len(self.sequences), len(self.all_pairs), len(self.representatives))
+        return (self.members, len(self.closure), len(self.representatives))
 
+    @cached_property
+    def all_pairs(self):
+        """Every pair in any class, as a frozenset of tuple pairs."""
+        return frozenset((tuple(a), tuple(b)) for a, b in self.closure.tolist())
 
-def _pin(x):
-    """core.pin over a (rows, 2, n) exponent array; a change to one goes in both."""
-    t = (x[:, 0, :1] - x[:, 0, 1:2]) & 3 if x.shape[-1] >= 2 else 0
-    ramp = (t * np.arange(x.shape[-1])).reshape(-1, 1, x.shape[-1])
-    return ((x - x[:, :, :1] + ramp) & 3).astype(np.int8)
+    @cached_property
+    def sequences(self):
+        """Every sequence appearing as a member, as a frozenset of tuples."""
+        return frozenset(map(tuple, self.closure.reshape(-1, self.length).tolist()))
 
 
 def _keys(rows, rank=_TEXT_RANK):
@@ -77,18 +87,17 @@ def _unique(keys):
 
 
 def _expand(n, pinned):
-    """(all pairs, sequences, closure) from every offset of every (rows, 2, n)
-    pinned pair; each distinct sequence is one tuple, shared by all pairs
-    holding it, and the closure holds the pairs as OmegaSets.closure."""
+    """(closure, member count) of every offset of every (rows, 2, n) pinned
+    pair: the distinct pairs, as tuples sort, and their distinct members."""
     p, q, r = np.indices((4, 4, 4), dtype=np.int8).reshape(3, 64, 1)
     ramp = r * (np.arange(n) & 3).astype(np.int8)
     offsets = np.stack([p + ramp, q + ramp], axis=1)  # (64, 2, n)
     rows = ((pinned[:, None] + offsets) & 3).reshape(-1, n)
-    first, inverse = _unique(_keys(rows))
-    seqs = np.fromiter(map(tuple, rows[first].tolist()), dtype=object, count=len(first))
-    members = seqs[inverse]
-    closure = rows.reshape(-1, 2, n)
-    return frozenset(zip(members[0::2], members[1::2])), frozenset(seqs), closure
+    # a pair's key is its members' keys, so one packing serves both counts
+    keys = _keys(rows, _EXPONENT_RANK)
+    pairs, _ = _unique(keys.reshape(-1, 2 * keys.shape[1]))
+    members, _ = _unique(keys)
+    return rows.reshape(-1, 2, n)[pairs], len(members)
 
 
 def build_omegas(n, pairs):
@@ -106,24 +115,16 @@ def build_omegas(n, pairs):
     if not ok.all():
         raise ValueError(f"pair {pairs[ok.argmin()]!r} fails the correlation condition")
     # per member: identity, R, C and CR; the 8 even choices, then each swapped
-    a, b = (np.stack([y, y[:, ::-1], -y & 3, -y[:, ::-1] & 3]) for y in _pin(x).transpose(1, 0, 2))
+    a, b = (np.stack([y, y[:, ::-1], -y & 3, -y[:, ::-1] & 3]) for y in core.pin(x).swapaxes(0, 1))
     even = [(g, h) for g in range(4) for h in range(4) if (g in (0, 3)) == (h in (0, 3))]
     images = np.concatenate([np.stack([a[g], b[h]], axis=1) for g, h in even])
-    images = _pin(np.concatenate([images, images[:, ::-1]]))
+    images = core.pin(np.concatenate([images, images[:, ::-1]]))
     closed, inverse = _unique(_keys(images.reshape(len(images), 2 * n)))
     # each input pair's class is its 16 images; the least key represents it
     reps = images[closed[np.unique(inverse.reshape(16, -1).min(axis=0))]].tolist()
     representatives = tuple((tuple(ra), tuple(rb)) for ra, rb in reps)
-    all_pairs, sequences, closure = _expand(n, images[closed])
-    return OmegaSets(n, all_pairs, sequences, representatives, closure)
-
-
-def sorted_closure(omegas):
-    """omegas.all_pairs as one (pairs, 2, n) exponent array, in the order of
-    sorted(omegas.all_pairs), from packed exponent-order keys."""
-    rows = omegas.closure
-    first, _ = _unique(_keys(rows.reshape(len(rows), -1), _EXPONENT_RANK))
-    return rows[first]
+    closure, members = _expand(n, images[closed])
+    return OmegaSets(n, closure, representatives, members)
 
 
 def crossover_check(pair):

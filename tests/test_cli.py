@@ -151,6 +151,10 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
         ),
         (3, "pairs_n3.txt", "4\t+++-\t++-+\n", "length 4, expected 3: '4\\t+++-\\t++-+'"),
         (
+            3, "pairs_n3.txt", "03\t++-\t+i+\n",
+            "length field '03' is not written as '3': '03\\t++-\\t+i+'",
+        ),
+        (
             3, "pairs_n3.txt", "3\t++-\t+j+\n3\t++-\t+i+\n",
             "not sorted after the line before, or repeated: '3\\t++-\\t+i+'",
         ),
@@ -164,7 +168,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
     ids=["pairs-garbage", "first-members-bad-character", "first-members-too-long",
          "first-members-masked", "first-members-repeated", "first-members-unsorted",
          "first-members-half-not-listed",
-         "pairs-other-length", "pairs-unsorted", "pairs-repeated",
+         "pairs-other-length", "pairs-length-field-not-canonical", "pairs-unsorted",
+         "pairs-repeated",
          "pairs-first-member-not-in-L_A", "pairs-non-pair"],
 )
 def test_malformed_artifact_is_a_usage_error(tmp_path, capsys, n, name, text, message):

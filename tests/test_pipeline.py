@@ -2,8 +2,10 @@
 
 import multiprocessing
 import os
+import re
 import time
 
+import numpy as np
 import pytest
 
 from cgolay import filters, oracle, pipeline
@@ -427,7 +429,7 @@ def test_write_pairs_renders_pair_lines(tmp_path):
     pairs = sorted(oracle.normalized_pairs(8))[:3]
     long = [((0,) * 10, (0,) * 9 + (1,))]  # a two-digit length, not a pair
     for n, rows in ((8, pairs), (10, long), (8, [])):
-        pipeline.write_pairs(tmp_path / "p.txt", n, rows)
+        pipeline.write_pairs(tmp_path / "p.txt", n, np.array(rows, np.int8).reshape(-1, 2, n))
         text = "".join(pipeline.pair_line(n, p) + "\n" for p in rows)
         assert (tmp_path / "p.txt").read_text() == text
 
@@ -444,6 +446,12 @@ def test_pair_line_roundtrip_and_validation(tmp_path):
         pipeline.parse_pair_line("3\t++x\t+i+")  # unknown character
     with pytest.raises(ValueError, match="length field must be at least 1"):
         pipeline.parse_pair_line("0\t\t")  # empty members agree with length 0
+    six = pipeline.pair_line(6, sorted(oracle.normalized_pairs(6))[0])
+    assert len(pipeline.parse_pair_line(six)[0]) == 6
+    # int() reads each of these as 6, but write_pairs only ever writes "6"
+    for field in ("06", " 6", "+6", "0_6", "\u0666"):
+        with pytest.raises(ValueError, match=re.escape(f"length field {field!r} is not")):
+            pipeline.parse_pair_line(field + six[1:])
     path = tmp_path / "pairs_n0.txt"
     path.write_text("0\t\t\n")
     with pytest.raises(pipeline.ArtifactError, match=":1: length field"):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from cgolay import cli, core, oracle, pipeline, postprocess
+from cgolay import cli, core, oracle, pipeline
 from cgolay.oracle import equivalence_closure
 from cgolay.postprocess import build_omegas, census_rows, crossover_check
 from expected_counts import PAIR_COUNTS
@@ -58,6 +58,11 @@ def census_fields(omegas):
     return (omegas.all_pairs, omegas.sequences, omegas.representatives)
 
 
+def census_sizes(omegas):
+    """counts as read off the tuple views, in counts' order."""
+    return (len(omegas.sequences), len(omegas.all_pairs), len(omegas.representatives))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_census_equals_closure_reference_on_unnormalized_inputs(reference, n):
     ref = reference(n)
@@ -67,10 +72,12 @@ def test_census_equals_closure_reference_on_unnormalized_inputs(reference, n):
     sample += [rng.choice(sorted(cls)) for cls in ref["classes"]]
     rng.shuffle(sample)
     for pairs in (ref["pairs"][::-1], sample, closure):
-        assert census_fields(build_omegas(n, pairs)) == ref["census"]
+        omegas = build_omegas(n, pairs)
+        assert census_fields(omegas) == ref["census"]
+        assert omegas.counts == census_sizes(omegas)
 
 
-# at length 1 the ramp offsets fix every pair, so the closure's rows repeat
+# at length 1 the ramp offsets fix every pair, so the closure must drop repeats
 @pytest.mark.parametrize("n", [1, 10, 12])
 def test_postprocess_files_equal_closure_reference(reference, tmp_path, capsys, n):
     ref = reference(n)
@@ -95,18 +102,11 @@ def test_census_of_a_length_64_pair_equals_its_closure(seed):
     closure = equivalence_closure([(a, b)])
     omegas = build_omegas(64, [(a, b)])
     assert omegas.all_pairs == closure
-    rows = postprocess.sorted_closure(omegas).tolist()
+    rows = omegas.closure.tolist()
     assert [(tuple(ra), tuple(rb)) for ra, rb in rows] == sorted(closure)
     assert omegas.sequences == frozenset(s for p in closure for s in p)
     assert omegas.representatives == (min(closure, key=text_key),)
-
-
-def test_array_pin_equals_core_pin():
-    rng = random.Random(7)
-    for n in (1, 2, 3, 8, 33):
-        pairs = [tuple(tuple(rng.randrange(4) for _ in range(n)) for _ in "ab") for _ in range(50)]
-        pinned = postprocess._pin(np.array(pairs, dtype=np.int8)).tolist()
-        assert [(tuple(a), tuple(b)) for a, b in pinned] == [core.pin(p) for p in pairs]
+    assert omegas.counts == census_sizes(omegas)
 
 
 def test_closure_sizes_of_single_pairs():
@@ -144,7 +144,8 @@ def test_census_is_input_order_independent():
     shuffled = pairs[:]
     random.Random(7).shuffle(shuffled)
     again = build_omegas(6, shuffled)
-    assert again == reference
+    assert census_fields(again) == census_fields(reference)
+    assert np.array_equal(again.closure, reference.closure)
 
 
 def test_representatives_are_sorted_class_minima():
