@@ -9,17 +9,14 @@ autocorrelation keys finds all partners of each (checked in the tests
 against a depth-first partner search, itself checked against the paper's
 programmatic SAT formulation), and a postprocessing step expands the
 normalized results to full counts via the pair-preserving equivalence
-operations.
+operations.  The package namespace re-exports core's scalar operations.
 """
 
 from cgolay.core import (
     apply_equivalence,
     autocorr,
-    entry_sum,
     from_text,
-    hall_eval,
     is_golay_pair,
-    join_halves,
     normalize,
     positional_scale,
     split_even_odd,
@@ -31,11 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "apply_equivalence",
     "autocorr",
-    "entry_sum",
     "from_text",
-    "hall_eval",
     "is_golay_pair",
-    "join_halves",
     "normalize",
     "positional_scale",
     "split_even_odd",

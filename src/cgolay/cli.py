@@ -45,7 +45,7 @@ def _add_inputs(p):
 
 def _read_text(args, path):
     try:
-        return path.read_text()
+        return path.read_bytes().decode()  # no newline translation
     except OSError as exc:
         args.parser.error(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
@@ -139,10 +139,13 @@ def _cmd_postprocess(args):
 
 def _cmd_verify(args):
     texts = [(path, _read_text(args, path)) for path in args.inputs]
-    bad = 0
+    bad = total = 0
     for path, text in texts:
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        *lines, last = text.split("\n")  # only "\n" ends a line, as write_pairs ends them
+        for lineno, line in enumerate(lines + [last] if last else lines, start=1):
             try:
+                if lineno > len(lines):
+                    raise ValueError(f"no newline at the end of the line: {line!r}")
                 pair = pipeline.parse_pair_line(line)
             except ValueError as exc:
                 print(f"{path}:{lineno}: unreadable: {exc}")
@@ -151,7 +154,7 @@ def _cmd_verify(args):
             if not core.is_golay_pair(pair):
                 print(f"{path}:{lineno}: correlation condition fails: {line}")
                 bad += 1
-    total = sum(len(text.splitlines()) for _, text in texts)
+        total += len(lines) + bool(last)
     print(f"verified {total - bad}/{total} pairs")
     return 1 if bad else 0
 

@@ -143,28 +143,6 @@ def golay_mask(a, b):
     return ~(autocorrelations(a) + autocorrelations(b)).any(axis=(1, 2))
 
 
-def entry_sum(seq):
-    """Sum of all entry values as an exact Gaussian integer (re, im)."""
-    re = im = 0
-    for c in seq:
-        if c is None:
-            continue
-        re += ENTRY_RE[c]
-        im += ENTRY_IM[c]
-    return (re, im)
-
-
-def hall_eval(seq, z):
-    """Evaluate the generating polynomial sum(entry[k] * z**k) at complex z."""
-    acc = 0j
-    zp = 1 + 0j
-    for c in seq:
-        if c is not None:
-            acc += ENTRY_VALUES[c] * zp
-        zp *= z
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # pair-preserving equivalence operations
 
@@ -241,21 +219,3 @@ def split_even_odd(seq):
     even = tuple(c if k % 2 == 0 else None for k, c in enumerate(seq))
     odd = tuple(c if k % 2 == 1 else None for k, c in enumerate(seq))
     return even, odd
-
-
-def join_halves(even, odd):
-    """Inverse of split_even_odd: merge two disjoint masked halves.
-
-    Every slot must be filled by exactly one of the halves; overlapping
-    entries or a slot left empty by both raise ValueError.
-    """
-    if len(even) != len(odd):
-        raise ValueError("halves must have equal length")
-    out = []
-    for k, (x, y) in enumerate(zip(even, odd)):
-        if x is None and y is None:
-            raise ValueError(f"slot {k} filled by neither half")
-        if x is not None and y is not None:
-            raise ValueError(f"slot {k} filled by both halves")
-        out.append(x if x is not None else y)
-    return tuple(out)

@@ -27,8 +27,8 @@ always sound.
 A second, fully exact test works on entry sums: for a pair member, the
 real and imaginary parts (R, I) of the entry sum -- and of the entry sum
 of every ramp-scaled variant -- must extend to an integer solution of
-R^2 + I^2 + x^2 + y^2 = 2n.  Solvability is precomputed in a boolean
-table per |R|, |I|.
+R^2 + I^2 + x^2 + y^2 = 2n.  build_squares_table precomputes solvability
+as a bool array indexed [|R|, |I|].
 
 The sample points are fixed, as module constants.  The half filter checks
 every root of unity at the coarse count n, then at FINE_SAMPLES = 2^14.
@@ -73,13 +73,13 @@ and square also in float32 the error stays near 1e-5 at the bound
 entry sums and decides the entry-sum test once per pair of classes, so
 each join costs a table lookup before the spectral slices; sweeps then
 run over spans of odd halves against every even half, and the pipeline
-only hands out the spans.
+only hands out the spans.  The tests hold both filters to perfbench/checks.py
+and numpy: the module keeps no reference implementation of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,19 +98,6 @@ PROGRESSIVE_POINTS = tuple((m, j) for m in (8, 16, 32, 64, 128) for j in range(1
 
 # ---------------------------------------------------------------------------
 # spectra
-
-
-def spectrum(seq, sample_count):
-    """|h|^2 of one sequence at z = e^(2*pi*i*j/N), j = 0..N-1, by FFT.
-
-    The inverse FFT times N evaluates the polynomial with the +i sign
-    convention.  The filters do not use it; it is their test reference.
-    """
-    if sample_count < len(seq):
-        raise ValueError("sample count must be at least the sequence length")
-    values = [0 if c is None else core.ENTRY_VALUES[c] for c in seq]  # a masked slot is 0
-    row = np.fft.ifft(values, n=sample_count) * sample_count
-    return row.real**2 + row.imag**2
 
 
 def _power_table(length, sample_count):
@@ -198,35 +185,13 @@ def _hall_survivors(exps, n):
     return alive
 
 
-def passes_hall_filter(seq, n):
-    """True iff |h|^2 stays within 2n + EPSILON at the counts n and FINE_SAMPLES, by FFT.
-
-    The half filter's test reference.  Sound for pair membership: a rejected
-    sequence can belong to no Golay pair of length n, full or masked half.
-    """
-    return all(spectrum(seq, count).max() <= 2 * n + EPSILON for count in (n, FINE_SAMPLES))
-
-
 # ---------------------------------------------------------------------------
 # sum-of-squares solvability
 
 
-@dataclass(frozen=True)
-class SquaresTable:
-    """Which (|R|, |I|) extend to R^2 + I^2 + x^2 + y^2 = 2*length."""
-
-    length: int
-    solvable: np.ndarray = field(repr=False)
-
-    def ok(self, re, im):
-        re, im = abs(re), abs(im)
-        if re > self.length or im > self.length:
-            return False
-        return bool(self.solvable[re, im])
-
-
 def build_squares_table(length):
-    """Exact integer precomputation of the solvability table."""
+    """Bool array [|R|, |I|]: whether R^2 + I^2 + x^2 + y^2 = 2*length has an
+    integer solution, for |R|, |I| <= length; exact integer precomputation."""
     target = 2 * length
     squares = {x * x for x in range(math.isqrt(target) + 1)}
     tab = np.zeros((length + 1, length + 1), dtype=bool)
@@ -236,29 +201,7 @@ def build_squares_table(length):
             if rem < 0:
                 continue
             tab[re, im] = any(rem - x * x in squares for x in range(math.isqrt(rem) + 1))
-    return SquaresTable(length, tab)
-
-
-def scaled_entry_sums(seq):
-    """Exact (re, im) entry sums of the four ramp-scaled variants of seq."""
-    out = []
-    for k in range(4):
-        re = im = 0
-        for j, c in enumerate(seq):
-            if c is None:
-                continue
-            e = (c + k * j) & 3
-            re += core.ENTRY_RE[e]
-            im += core.ENTRY_IM[e]
-        out.append((re, im))
-    return tuple(out)
-
-
-def sos_filter(seq, table):
-    """True iff all four scaled entry sums pass the solvability table."""
-    if len(seq) != table.length:
-        raise ValueError("squares table built for a different length")
-    return all(table.ok(re, im) for re, im in scaled_entry_sums(seq))
+    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +273,8 @@ def half_hall_columns(exps, slots):
 
 
 def half_scaled_sums(exps, slots):
-    """scaled_entry_sums of rows of entry exponents, column k at index slots[k], as an int array."""
+    """Exact (re, im) entry sums h(i**k), k = 0..3, of rows of entry exponents,
+    column k at index slots[k]: the four ramp-scaled variants' sums, shape (rows, 4, 2)."""
     exps = exps.astype(np.int16)
     ramp = np.asarray(slots, dtype=np.int16)
     entry_re, entry_im = np.array(core.ENTRY_RE), np.array(core.ENTRY_IM)
@@ -396,7 +340,7 @@ class HalfJoin:
         e_keys, self._e_class = _sum_classes(self._e_rows, e_slots)
         o_keys, self._o_class = _sum_classes(self._o_rows, o_slots)
         sums = np.abs(o_keys[:, None] + e_keys[None, :])
-        solvable = build_squares_table(n).solvable
+        solvable = build_squares_table(n)
         self._sums_ok = solvable[sums[..., 0], sums[..., 1]].all(axis=2)
 
     @property

@@ -119,17 +119,21 @@ class ArtifactError(ValueError):
 
 
 def _read_lines(path, parse, check=None):
-    """parse(line) per line up to a failure; check(rows) may name a row as (index, reason)."""
+    """parse(line) per line up to a failure; check(rows) may name a row as (index, reason).
+    Only LF ends a line, as the writers end them; CR LF, CR or U+2028 do not."""
     try:
-        lines, out, error = path.read_text().splitlines(), [], None
+        *lines, last = path.read_bytes().decode().split("\n")
     except UnicodeDecodeError as exc:
         raise ArtifactError(f"{path}: {exc}") from None
+    out, error = [], None
     for lineno, line in enumerate(lines, start=1):
         try:
             out.append(parse(line))
         except ValueError as exc:
             error = f"{path}:{lineno}: {exc}"
             break
+    if last and not error:
+        error = f"{path}:{len(lines) + 1}: no newline at the end of the line: {last!r}"
     if check and (bad := check(out)):
         error = f"{path}:{bad[0] + 1}: {bad[1]}: {lines[bad[0]]!r}"
     if error:

@@ -114,8 +114,10 @@ def build_omegas(n, pairs):
     ok = core.golay_mask(x[:, 0], x[:, 1])
     if not ok.all():
         raise ValueError(f"pair {pairs[ok.argmin()]!r} fails the correlation condition")
+    pinned = core.pin(x)  # one row per distinct pinned pair: repeats form no images
+    pinned = pinned[_unique(_keys(pinned.reshape(len(pinned), 2 * n)))[0]]
     # per member: identity, R, C and CR; the 8 even choices, then each swapped
-    a, b = (np.stack([y, y[:, ::-1], -y & 3, -y[:, ::-1] & 3]) for y in core.pin(x).swapaxes(0, 1))
+    a, b = (np.stack([y, y[:, ::-1], -y & 3, -y[:, ::-1] & 3]) for y in pinned.swapaxes(0, 1))
     even = [(g, h) for g in range(4) for h in range(4) if (g in (0, 3)) == (h in (0, 3))]
     images = np.concatenate([np.stack([a[g], b[h]], axis=1) for g, h in even])
     images = core.pin(np.concatenate([images, images[:, ::-1]]))

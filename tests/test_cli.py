@@ -164,20 +164,31 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
         ),
         (3, "pairs_n3.txt", "3\t+i+\t++-\n", "first member not in this run's L_A: '3\\t+i+\\t++-'"),
         (3, "pairs_n3.txt", "3\t++-\t+++\n", "not a Golay pair: '3\\t++-\\t+++'"),
+        # only "\n" ends a line, as the writers write them
+        (3, "pairs_n3.txt", "3\t++-\t+i+\r\n", "bad sequence character '\\r' in '+i+\\r'"),
+        (
+            4, "L_A_n4.txt", "+++-\u2028++-+\n",
+            "bad sequence character '\\u2028' in '+++-\\u2028++-+'",
+        ),
+        (
+            3, "pairs_n3.txt", "3\t++-\t+i+",
+            "no newline at the end of the line: '3\\t++-\\t+i+'",
+        ),
     ],
     ids=["pairs-garbage", "first-members-bad-character", "first-members-too-long",
          "first-members-masked", "first-members-repeated", "first-members-unsorted",
          "first-members-half-not-listed",
          "pairs-other-length", "pairs-length-field-not-canonical", "pairs-unsorted",
          "pairs-repeated",
-         "pairs-first-member-not-in-L_A", "pairs-non-pair"],
+         "pairs-first-member-not-in-L_A", "pairs-non-pair",
+         "pairs-crlf", "first-members-line-separator", "pairs-no-final-newline"],
 )
 def test_malformed_artifact_is_a_usage_error(tmp_path, capsys, n, name, text, message):
     out = tmp_path / "runs"
     out.mkdir()
     bad = out / name
-    bad.write_text(text)
-    line = text.count("\n")
+    bad.write_bytes(text.encode())
+    line = text.rstrip("\n").count("\n") + 1
     with pytest.raises(SystemExit) as exc:
         run_cli("enumerate", "--n", str(n), "--out", str(out))
     assert exc.value.code == 2
@@ -240,6 +251,18 @@ def test_verify_rejects_tampering(tmp_path, capsys):
     assert "correlation condition fails" in printed
     assert "unreadable" in printed
     assert "verified 1/3 pairs" in printed
+
+
+def test_verify_reads_only_newline_ended_lines(tmp_path, capsys):
+    path = tmp_path / "pairs.txt"
+    path.write_bytes("3\t++-\t+i+\n3\t++-\t+i+\r\n3\t++-\t+j+\u20283\t++-\t+j+\n3\t++-\t+j+".encode())
+    assert run_cli("verify", "--pairs", str(path)) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[:2] for line in printed[:-1]] == [
+        [f"{path}:{k}", "unreadable"] for k in (2, 3, 4)
+    ]
+    assert "no newline at the end of the line" in printed[2]
+    assert printed[-1] == "verified 1/4 pairs"
 
 
 def test_counts_subcommand(tmp_path, capsys):

@@ -133,31 +133,6 @@ def test_golay_mask_equals_is_golay_pair_near_normalized_pairs(n, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# sums and evaluations
-
-
-def test_entry_sum_frozen_value():
-    assert core.entry_sum(seq("+iji")) == (1, 1)
-
-
-@given(full_seqs)
-def test_entry_sum_parity(a):
-    re, im = core.entry_sum(a)
-    assert (re + im) % 2 == len(a) % 2
-
-
-@given(masked_seqs)
-def test_entry_sum_is_hall_eval_at_one(a):
-    re, im = core.entry_sum(a)
-    assert complex(re, im) == pytest.approx(core.hall_eval(a, 1 + 0j))
-
-
-def test_hall_eval_simple():
-    # 1 + i*z at z = i: 1 + i*i = 0
-    assert core.hall_eval(seq("+i"), 1j) == pytest.approx(0j)
-
-
-# ---------------------------------------------------------------------------
 # text form
 
 
@@ -194,10 +169,10 @@ def test_positional_scale_period_four(a):
 
 
 @given(full_seqs, st.integers(0, 3))
-def test_scale_seq_shifts_entry_sum(a, c):
-    re, im = core.entry_sum(a)
-    val = complex(re, im) * 1j**c
-    assert complex(*core.entry_sum(core.scale_seq(c, a))) == val
+def test_scale_seq_shifts_entry_sum(checks, a, c):
+    # the checker's scaled sum k = 0 is the plain entry sum
+    sums = checks.scaled_sums(checks.as_array([a, core.scale_seq(c, a)], len(a)))[:, 0]
+    assert complex(*sums[1]) == complex(*sums[0]) * 1j**c
 
 
 # ---------------------------------------------------------------------------
@@ -287,28 +262,12 @@ def test_normalize_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# splitting and joining
+# splitting
 
 
 @given(full_seqs)
-def test_split_join_roundtrip(a):
+def test_split_join_roundtrip(checks, a):
     even, odd = core.split_even_odd(a)
-    assert core.join_halves(even, odd) == a
+    assert (even, odd) == checks.halves(a)
     assert all(c is None for k, c in enumerate(even) if k % 2 == 1)
     assert all(c is None for k, c in enumerate(odd) if k % 2 == 0)
-
-
-@given(full_seqs)
-def test_split_halves_sum_to_whole(a):
-    even, odd = core.split_even_odd(a)
-    se, so = core.entry_sum(even), core.entry_sum(odd)
-    assert (se[0] + so[0], se[1] + so[1]) == core.entry_sum(a)
-
-
-def test_join_halves_errors():
-    with pytest.raises(ValueError):
-        core.join_halves((0, None), (0, None))  # slot 0 doubly filled
-    with pytest.raises(ValueError):
-        core.join_halves((None, None), (None, 0))  # slot 0 empty
-    with pytest.raises(ValueError):
-        core.join_halves((0,), (None, 1))  # length mismatch

@@ -5,15 +5,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cgolay import core, filters, oracle, pipeline
 from expected_counts import CANDIDATE_COUNTS
-
-masked_seqs = st.lists(
-    st.one_of(st.none(), st.integers(0, 3)), min_size=1, max_size=10
-).map(tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -37,54 +31,33 @@ def test_progressive_points_cover_all_but_quarter_points():
 
 
 # ---------------------------------------------------------------------------
-# spectra
-
-
-def test_spectrum_frozen_values():
-    assert np.allclose(filters.spectrum((0, 0), 2), [4.0, 0.0])
-    assert np.allclose(filters.spectrum((0,), 4), [1.0, 1.0, 1.0, 1.0])
-
-
-def test_spectrum_requires_enough_samples():
-    with pytest.raises(ValueError):
-        filters.spectrum((0, 0, 0), 2)
-
-
-@given(masked_seqs, st.sampled_from([1, 2, 4, 8, 16]))
-def test_spectrum_parseval(seq, mult):
-    n = len(seq)
-    count = max(n, mult)
-    mags = filters.spectrum(seq, count)
-    nonzero = sum(1 for c in seq if c is not None)
-    assert mags.sum() == pytest.approx(count * nonzero)
-    assert mags.min() >= 0
-
-
-@given(masked_seqs)
-def test_spectrum_matches_direct_evaluation(seq):
-    count = 2 * len(seq)
-    mags = filters.spectrum(seq, count)
-    for j in (0, 1, count - 1):
-        z = complex(math.cos(2 * math.pi * j / count), math.sin(2 * math.pi * j / count))
-        assert mags[j] == pytest.approx(abs(core.hall_eval(seq, z)) ** 2, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # spectral filter
 
 
-def test_hall_filter_accepts_pair_members(tmp_path):
+def _fft_mags(seqs, count):
+    """|h|^2 of each sequence at z = e^(2*pi*i*j/count), j = 0..count-1, by numpy's FFT."""
+    values = np.array([[0 if c is None else 1j**c for c in s] for s in seqs]).reshape(len(seqs), -1)
+    h = np.fft.ifft(values, n=count, axis=1) * count  # the inverse FFT has the +i sign
+    return h.real**2 + h.imag**2
+
+
+def _hall_points(checks, n):
+    """The half filter's sample points as turn fractions: all roots at the counts n and FINE_SAMPLES."""
+    return checks.roots_of_unity(n) + checks.roots_of_unity(filters.FINE_SAMPLES)
+
+
+def test_hall_filter_accepts_pair_members(checks, tmp_path):
     # length 10 exceeds the join's first count of 8 points
     pairs = {n: oracle.normalized_pairs(n) for n in range(1, 6)}
     pairs[10] = pipeline.enumerate_pairs(pipeline.RunConfig(n=10, out_dir=tmp_path))
     assert len(pairs[10]) == 152
     for n, found in pairs.items():
+        points = _hall_points(checks, n)
         for a, b in found:
             for s in (a, b):
-                assert filters.passes_hall_filter(s, n)
-                assert _passes_progressive_points(s, n)
-                for half in core.split_even_odd(s):
-                    assert filters.passes_hall_filter(half, n)
+                halves = core.split_even_odd(s)
+                assert checks.spectral_mask([s, *halves], n, points).all(), s
+                assert _passes_progressive_points(checks, [s], n).all(), s
 
 
 def _coef(exps):
@@ -120,12 +93,12 @@ def test_stage_pass_mask_matches_fft_reference():
         for count in (n, 2**14):
             for bound in (2 * n + 1e-3, n + 1e-3):
                 got = filters._stage_pass_mask(coef, bound, count)
-                want = np.array([filters.spectrum(r, count).max() for r in rows]) <= bound
+                want = _fft_mags(rows, count).max(axis=1) <= bound
                 assert np.array_equal(got, want), (n, count, bound)
                 verdicts.update(want.tolist())
                 for half_coef, masked in halves:
                     got = filters._stage_pass_mask(half_coef, bound, count // math.gcd(count, 2))
-                    want = np.array([filters.spectrum(r, count).max() for r in masked]) <= bound
+                    want = _fft_mags(masked, count).max(axis=1) <= bound
                     assert np.array_equal(got, want), (n, count, bound, masked[0])
                     half_verdicts.update(want.tolist())
     assert verdicts == half_verdicts == {True, False}
@@ -186,21 +159,15 @@ def test_certificate_matches_the_fine_grid_on_random_rows():
     assert min(verdicts.values()) > 0, verdicts
 
 
-def test_hall_filter_rejects_known_non_member():
-    # [1,1,1] peaks at |h(1)|^2 = 9 > 6: caught by the coarse all-points pass
-    assert not filters.passes_hall_filter((0, 0, 0), 3)
-
-
 # ---------------------------------------------------------------------------
 # squares table
 
 
 def test_squares_table_frozen_values():
     tab = filters.build_squares_table(23)
-    assert not tab.ok(0, 5)
-    assert tab.ok(1, 2)
-    assert tab.ok(-1, 2) and tab.ok(1, -2)  # sign-blind
-    assert not tab.ok(24, 0)  # out of range
+    assert tab.shape == (24, 24)
+    assert not tab[0, 5]
+    assert tab[1, 2]
 
 
 def test_squares_table_against_quadruple_loop():
@@ -215,30 +182,7 @@ def test_squares_table_against_quadruple_loop():
                     for y in range(lim + 1):
                         if r * r + i * i + x * x + y * y == target:
                             truth[r, i] = True
-        assert np.array_equal(tab.solvable, truth), f"n={n}"
-
-
-@given(masked_seqs)
-def test_scaled_entry_sums_match_core(seq):
-    sums = filters.scaled_entry_sums(seq)
-    for k in range(4):
-        assert sums[k] == core.entry_sum(core.positional_scale(k, seq))
-
-
-def test_sos_filter_known_values():
-    tab = filters.build_squares_table(3)
-    assert not filters.sos_filter((0, 0, 0), tab)  # entry sum 3: 9 > 6
-    assert filters.sos_filter((0, 0, 2), tab)
-    with pytest.raises(ValueError):
-        filters.sos_filter((0, 0), tab)
-
-
-def test_sos_filter_accepts_pair_members():
-    for n in range(1, 6):
-        tab = filters.build_squares_table(n)
-        for a, b in oracle.normalized_pairs(n):
-            assert filters.sos_filter(a, tab)
-            assert filters.sos_filter(b, tab)
+        assert np.array_equal(tab, truth), f"n={n}"
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +235,22 @@ def test_half_candidates_are_well_formed():
         assert keys == sorted(keys)  # lexicographic output order
 
 
-def test_half_candidates_respect_the_filter():
-    for parity in ("even", "odd"):
-        for c in filters.enumerate_half_candidates(6, parity):
-            assert filters.passes_hall_filter(c, 6)
+def test_half_candidates_respect_the_filter(checks):
+    # every screened half, kept or rejected, against the checker's direct
+    # evaluation at every point of both counts
+    rejected = 0
+    for n in range(1, 9):
+        points = _hall_points(checks, n)
+        for p, parity in enumerate(("even", "odd")[:n]):  # length 1 has no odd slots
+            screened = []
+            for entries in _slot_rows(n, p).tolist():
+                row = [None] * n
+                row[p::2] = entries
+                screened.append(tuple(row))
+            keep = checks.spectral_mask(screened, n, points)
+            assert filters.enumerate_half_candidates(n, parity) == list(itertools.compress(screened, keep))
+            rejected += int((~keep).sum())
+    assert rejected > 0
 
 
 def test_half_candidates_edge_cases():
@@ -329,14 +285,13 @@ def _join_all(n):
     return join.sweep(0, join.odd_count)
 
 
-def _passes_progressive_points(seq, n):
-    """The join's spectral test by FFT, the reference for HalfJoin.
+def _passes_progressive_points(checks, seqs, n):
+    """The join's spectral test by the independent checker, the reference for HalfJoin.
 
     The PROGRESSIVE_POINTS are the points of the 128-point grid whose index
     is not divisible by 32; |h|^2 must stay within 2n + EPSILON at each.
     """
-    mags = filters.spectrum(seq, 128)
-    return bool((mags[np.arange(128) % 32 != 0] <= 2 * n + filters.EPSILON).all())
+    return checks.spectral_mask(seqs, n, [j / 128 for j in range(128) if j % 32])
 
 
 def test_stage1_survivor_counts_frozen():
@@ -351,13 +306,13 @@ def test_stage1_filter_accepts_pair_members():
             assert a in survivors
 
 
-def test_half_join_equals_brute_force_composition():
+def test_half_join_equals_brute_force_composition(checks):
     for n in range(1, 11):
-        table = filters.build_squares_table(n)
         evens, odds = _halves(n)
-        joins = (core.join_halves(e, o) for e in evens for o in odds)
-        sums_ok = [a for a in joins if filters.sos_filter(a, table)]
-        brute = sorted(a for a in sums_ok if _passes_progressive_points(a, n))
+        # each slot is filled by exactly one half
+        joins = [tuple(o[k] if x is None else x for k, x in enumerate(e)) for e in evens for o in odds]
+        sums_ok = list(itertools.compress(joins, checks.four_squares_mask(joins, n)))
+        brute = sorted(itertools.compress(sums_ok, _passes_progressive_points(checks, sums_ok, n)))
         assert _join_all(n) == brute, f"n={n}"
 
 
@@ -391,7 +346,8 @@ def test_half_hall_columns_on_a_grid_coarser_than_n():
     assert len(rows) == 4
     for p, j in rows:
         z = complex(math.cos(2 * math.pi * j / 8), math.sin(2 * math.pi * j / 8))
-        direct = np.array([core.hall_eval(c, z) for c in evens])
+        coeffs = [[0 if c is None else 1j**c for c in e] for e in evens]
+        direct = np.array([np.polynomial.polynomial.polyval(z, c) for c in coeffs])
         assert (np.abs(mat[p] - direct) <= F32_ROUND * np.abs(direct) + REFERENCE_ATOL).all()
 
 
@@ -403,8 +359,7 @@ def test_half_hall_columns_match_single_spectra():
     mat = filters.half_hall_columns(_entries(cands, slots), slots)  # (points, candidates)
     assert mat.shape == (len(cols), len(cands))
     assert mat.dtype == np.complex64
-    for r, c in enumerate(cands):
-        want = filters.spectrum(c, 128)[cols]
+    for r, want in enumerate(_fft_mags(cands, 128)[:, cols]):
         assert np.allclose(_table_mags(mat[:, r]), want, rtol=F32_SQUARE_RTOL, atol=REFERENCE_ATOL)
 
 
@@ -412,7 +367,7 @@ def _largest_square_error(cands, slots):
     """Largest | |h|^2 of the table - |h|^2 by FFT | over cands' points, tabulated at slots."""
     cols = _grid_columns()
     mags = _table_mags(filters.half_hall_columns(_entries(cands, slots), slots))
-    return max(np.abs(mags[:, r] - filters.spectrum(c, 128)[cols]).max() for r, c in enumerate(cands))
+    return np.abs(mags - _fft_mags(cands, 128)[:, cols].T).max()
 
 
 def test_single_precision_tables_stay_far_inside_epsilon(checks):
@@ -436,7 +391,7 @@ def test_single_precision_tables_stay_far_inside_epsilon(checks):
     )
     h = e_cols + o_cols
     cols = _grid_columns()
-    want = np.array([filters.spectrum(s, 128)[cols] for s in members]).T
+    want = _fft_mags(members, 128)[:, cols].T
     assert np.abs((h.real**2 + h.imag**2) - want).max() < epsilon / 10
 
 
@@ -447,20 +402,20 @@ def test_constructed_first_members_survive_both_filters(checks, n):
     rng = random.Random(n)
     pairs = checks.constructions(n)
     pairs += [checks.random_moves(p, rng) for p in pairs for _ in range(2)]
+    points = _hall_points(checks, n)
     for pair in pairs:
         a, b = core.normalize(pair)
-        for s in (a, b):
-            for p, half in enumerate(core.split_even_odd(s)):
-                assert filters.passes_hall_filter(half, n), (half, pair)
-                assert filters._hall_survivors(np.array([half[p::2]]), n).size == 1, (half, pair)
+        halves = core.split_even_odd(a) + core.split_even_odd(b)
+        assert checks.spectral_mask(halves, n, points).all(), pair
+        for k, half in enumerate(halves):
+            assert filters._hall_survivors(np.array([half[k % 2 :: 2]]), n).size == 1, (half, pair)
         even, odd = core.split_even_odd(a)
         assert filters.HalfJoin(n, [even], [odd]).sweep(0, 1) == [a], pair
 
 
-def test_half_scaled_sums_match_scalar_path():
+def test_half_scaled_sums_match_scalar_path(checks):
     n = 7
     cands = filters.enumerate_half_candidates(n, "odd")
     slots = range(1, n, 2)
     arr = filters.half_scaled_sums(_entries(cands, slots), slots)
-    for r, c in enumerate(cands):
-        assert tuple(map(tuple, arr[r])) == filters.scaled_entry_sums(c)
+    assert np.array_equal(arr, checks.scaled_sums(checks.as_array(cands, n)))
