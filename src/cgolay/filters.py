@@ -66,15 +66,18 @@ above 2n + EPSILON, EPSILON = 1e-3.
 
 HalfJoin tabulates the halves' polynomials at the progressive points once
 per run, as one product of the slot rows' entry values with a table of
-z^k, k over the slots, stored in single precision.  float32 rounding
-moves a tabulated |h|^2 by a relative 2^-23 at most; with the join's sum
-and square also in float32 the error stays near 1e-5 at the bound
-2n = 64, far below EPSILON.  It groups the halves by their four scaled
-entry sums and decides the entry-sum test once per pair of classes, so
-each join costs a table lookup before the spectral slices; sweeps then
-run over spans of odd halves against every even half, and the pipeline
-only hands out the spans.  The tests hold both filters to perfbench/checks.py
-and numpy: the module keeps no reference implementation of its own.
+z^k, k over the slots, stored as float32 planes of real and imaginary
+parts.  float32 rounding moves a tabulated |h|^2 by a relative 2^-23 at
+most; with the join's sums and squares also in float32 the error stays
+near 1e-5 at the bound 2n = 64, far below EPSILON.  It groups the halves
+by their four scaled entry sums and decides the entry-sum test once per
+pair of classes, so each join costs a table lookup before the spectral
+slices.  The odd halves are held in class order, and sweeps run over
+spans of that axis: each odd class tests its admitted evens on the 8-
+and 16-point counts as one odds x evens grid, and the survivors face
+the later counts.  The pipeline only hands out the spans.  The tests
+hold both filters to perfbench/checks.py and numpy: the module keeps no
+reference implementation of its own.
 """
 
 from __future__ import annotations
@@ -252,23 +255,27 @@ def enumerate_half_candidates(n, parity):
 
 
 def half_hall_columns(exps, slots):
-    """Polynomials at the PROGRESSIVE_POINTS of rows whose column k is entry slots[k], as complex64.
+    """Polynomials at the PROGRESSIVE_POINTS of rows whose column k is entry slots[k], as planes.
 
     A full sequence's slots are range(n).  One product of each chunk's
     entry values with a table of z^k, k in slots, evaluates the chunk; z^k's
     angle is reduced modulo the point's sample count in integers, so a
     length above the count needs no fold.  The product runs in double
-    precision and is rounded once on storing, so an entry is off by at
-    most 2^-24 * |h|.  Returns shape (points, rows), in PROGRESSIVE_POINTS order.
+    precision and each part is rounded once on storing, so an entry is off
+    by at most 2^-24 * |h|.  Returns shape (points, 2, rows), in
+    PROGRESSIVE_POINTS order: plane 0 holds the real parts, plane 1 the
+    imaginary parts.
     """
     m, j = np.array(PROGRESSIVE_POINTS).T[:, :, None]
     powers = np.exp((2j * np.pi / m) * ((j * np.asarray(slots)) % m))
     values = np.array(core.ENTRY_VALUES)
-    out = np.empty((powers.shape[0], len(exps)), dtype=np.complex64)
+    out = np.empty((powers.shape[0], 2, len(exps)), dtype=np.float32)
     # chunk the rows so the product stays near 2^21 elements
     step = 1 << 14
     for lo in range(0, len(exps), step):
-        out[:, lo : lo + step] = powers @ values[exps[lo : lo + step]].T
+        h = powers @ values[exps[lo : lo + step]].T
+        out[:, 0, lo : lo + step] = h.real
+        out[:, 1, lo : lo + step] = h.imag
     return out
 
 
@@ -293,9 +300,9 @@ def _count_slices():
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(counts)])]
 
 
-# joins per spectral batch of one sum class: even the 64-point slice of
-# 2^14 joins keeps its temporaries near 16MB
-_JOIN_BATCH = 1 << 14
+# float32 elements per temporary of the grid test: a batch of one odd
+# class's joins at the grid's 12 points keeps each temporary near 256KB
+_JOIN_BATCH = 1 << 16
 
 
 def join_odds(n, odds):
@@ -304,24 +311,51 @@ def join_odds(n, odds):
 
 
 def _sum_classes(exps, slots):
-    """Distinct scaled entry sums of the rows, shape (classes, 4, 2), and each row's class."""
-    sums = half_scaled_sums(exps, slots).astype(np.int32).reshape(len(exps), 8)
-    keys, inverse = np.unique(sums, axis=0, return_inverse=True)
-    return keys.reshape(-1, 4, 2), inverse.reshape(-1)
+    """Distinct scaled entry sums of the rows, shape (classes, 4, 2), and each row's class.
+
+    A row of m entries has its eight sums in [-m, m]; they are packed as
+    digits of radix 2m + 1 into one int64 key per row, first sum most
+    significant, so the classes come in the lexicographic order of their
+    sums.  The radix stays below 2^(63/8) for every m up to 116.
+    """
+    sums = half_scaled_sums(exps, slots).reshape(len(exps), 8)
+    keys = np.zeros(len(exps), dtype=np.int64)
+    for digits in sums.T + len(slots):
+        keys = keys * (2 * len(slots) + 1) + digits
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return sums[first].reshape(-1, 4, 2), inverse.reshape(-1)
+
+
+def _peaks(e_planes, o_planes):
+    """Largest float32 |h|^2 of joins over the points.
+
+    e_planes and o_planes are (points, 2, ...) planes of the evens and odds
+    that broadcast against each other; per point, h = e + o and
+    |h|^2 = re^2 + im^2, all in float32, and the max runs over the points.
+    """
+    re = e_planes[:, 0] + o_planes[:, 0]
+    im = e_planes[:, 1] + o_planes[:, 1]
+    re *= re
+    im *= im
+    re += im
+    return re.max(axis=0)
 
 
 class HalfJoin:
     """The stage-1 join of every even half with the given odd halves.
 
-    Construction computes both halves' spectra at the PROGRESSIVE_POINTS,
-    once.  It also groups each side by its four scaled entry sums and
-    decides the squares-table test once per (odd class, even class) pair:
-    a join's scaled sums are the sum of its halves', so the verdict depends
-    on the classes alone.  sweep() then tests joins one span of odd halves
-    at a time.  A joined candidate survives when its four scaled entry sums
-    pass the squares table and its sampled |h|^2 stays within 2n + EPSILON
-    at every one of those points.  Halves' values add, so a join's
-    spectrum is the sum of two table columns.
+    Construction holds each side's polynomials at the PROGRESSIVE_POINTS
+    once, as the float32 planes of half_hall_columns.  It also groups each
+    side by its four scaled entry sums and decides the squares-table test
+    once per (odd class, even class) pair: a join's scaled sums are the
+    sum of its halves', so the verdict depends on the classes alone.  The
+    odd axis is put in class order (rows, planes and classes together), so
+    a span of it meets each class in one run.  sweep() then tests joins
+    one span of odd halves at a time.  A joined candidate survives when
+    its four scaled entry sums pass the squares table and its sampled
+    |h|^2 stays within 2n + EPSILON, in float32, at every one of those
+    points.  Halves' values add, so a join's value at a point is the sum
+    of two table entries.
 
     odds may be any span of join_odds(n, all_odds), such as one shard's;
     only that span is tabulated.
@@ -329,61 +363,59 @@ class HalfJoin:
 
     def __init__(self, n, evens, odds):
         self._n = n
-        self._bound = 2 * n + EPSILON
-        self._slices = _count_slices()
+        self._bound = np.float32(2 * n + EPSILON)
+        slices = _count_slices()
+        # the 8- and 16-point counts go on the grid, the later ones on survivors
+        self._grid, self._rest = slice(slices[0].start, slices[1].stop), slices[2:]
         # each side is converted once: a half h of parity p becomes its slot row h[p::2]
         e_slots, o_slots = range(0, n, 2), range(1, n, 2)
         self._e_rows = np.array([h[0::2] for h in evens], np.int8).reshape(len(evens), len(e_slots))
-        self._o_rows = np.array([h[1::2] for h in odds], np.int8).reshape(len(odds), len(o_slots))
-        self._e_cols = half_hall_columns(self._e_rows, e_slots)
-        self._o_cols = half_hall_columns(self._o_rows, o_slots)
+        o_rows = np.array([h[1::2] for h in odds], np.int8).reshape(len(odds), len(o_slots))
         e_keys, self._e_class = _sum_classes(self._e_rows, e_slots)
-        o_keys, self._o_class = _sum_classes(self._o_rows, o_slots)
+        o_keys, o_class = _sum_classes(o_rows, o_slots)
+        order = np.argsort(o_class, kind="stable")
+        self._o_rows, self._o_class = o_rows[order], o_class[order]
+        # class c holds the odds _o_starts[c] .. _o_starts[c + 1] - 1
+        self._o_starts = np.searchsorted(self._o_class, np.arange(len(o_keys) + 1))
+        self._e_planes = half_hall_columns(self._e_rows, e_slots)
+        self._o_planes = half_hall_columns(self._o_rows, o_slots)
         sums = np.abs(o_keys[:, None] + e_keys[None, :])
         solvable = build_squares_table(n)
         self._sums_ok = solvable[sums[..., 0], sums[..., 1]].all(axis=2)
 
     @property
     def odd_count(self):
-        """Length of the odd axis that sweep() spans index."""
+        """Length of the odd axis that sweep() spans index, in class order."""
         return len(self._o_rows)
 
-    def _within_bound(self, sl, e, o):
-        """Whether joins of evens e with odds o keep |h|^2 in bound on slice sl.
-
-        e and o are index arrays that broadcast against each other.
-        """
-        h = self._e_cols[sl][:, e] + self._o_cols[sl][:, o]
-        return (h.real**2 + h.imag**2 <= self._bound).all(axis=0)
-
     def sweep(self, lo, hi):
-        """Surviving joined candidates for odds[lo:hi], sorted.
+        """Surviving joined candidates for odds lo..hi-1 of the class-ordered axis, sorted.
 
-        The span's odds are grouped by entry-sum class.  Each class gathers
-        the evens its squares-table row admits once; the first spectral
-        slice tests all of the class's joins as an evens x odds grid, in
-        batches, and the later slices test the joins still alive.
+        Each odd class in the span gathers the planes of the evens its
+        squares-table row admits once.  The 8- and 16-point counts test the
+        class's joins as an odds x evens grid, evens on the contiguous axis,
+        in batches of about _JOIN_BATCH point-joins; the later counts test
+        the joins still alive, one count at a time.
         """
-        span = np.arange(lo, hi)
-        span = span[np.argsort(self._o_class[span], kind="stable")]
-        cuts = np.flatnonzero(np.diff(self._o_class[span])) + 1
-        first, rest = self._slices[0], self._slices[1:]
+        if lo >= hi:
+            return []
         survivors = []
-        for group in np.split(span, cuts):
-            if not group.size:
-                continue
-            evens = np.flatnonzero(self._sums_ok[self._o_class[group[0]]][self._e_class])
+        for c in range(self._o_class[lo], self._o_class[hi - 1] + 1):
+            evens = np.flatnonzero(self._sums_ok[c][self._e_class])
             if not evens.size:
                 continue
-            step = max(1, _JOIN_BATCH // evens.size)
-            for k in range(0, group.size, step):
-                odds = group[k : k + step]
-                ei, oi = np.nonzero(self._within_bound(first, evens[:, None], odds[None, :]))
-                e, o = evens[ei], odds[oi]
-                for sl in rest:
+            e_grid = self._e_planes[self._grid].take(evens, axis=2)[:, :, None]
+            start, stop = max(lo, self._o_starts[c]), min(hi, self._o_starts[c + 1])
+            step = max(1, _JOIN_BATCH // (len(e_grid) * evens.size))
+            for k in range(start, stop, step):
+                o_grid = self._o_planes[self._grid, :, k : min(k + step, stop), None]
+                oi, ei = np.nonzero(_peaks(e_grid, o_grid) <= self._bound)
+                e, o = evens[ei], oi + k
+                for sl in self._rest:
                     if not e.size:
                         break
-                    keep = self._within_bound(sl, e, o)
+                    e_sl = self._e_planes[sl].take(e, axis=2)
+                    keep = _peaks(e_sl, self._o_planes[sl].take(o, axis=2)) <= self._bound
                     e, o = e[keep], o[keep]
                 rows = np.empty((e.size, self._n), dtype=np.int8)
                 rows[:, 0::2] = self._e_rows[e]

@@ -266,8 +266,12 @@ def _stage1_worker(span):
 
 
 def _run_chunked(worker, total, workers):
-    workers = min(workers, os.cpu_count() or 1)  # more processes than CPUs buy nothing
-    pieces = workers * 4 if workers > 1 else 1  # every span re-sorts its classes
+    # more processes than the CPUs this process may run on buy nothing
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
+    # one worker sweeps the axis in one call; more share it in 4 spans each,
+    # and a span cut inside a class run gathers that class's evens again
+    pieces = workers * 4 if workers > 1 else 1
     spans = [shard_span(total, pieces, k) for k in range(1, pieces + 1)]
     spans = [(lo, hi) for lo, hi in spans if lo < hi]
     if workers <= 1 or len(spans) <= 1:

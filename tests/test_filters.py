@@ -316,17 +316,45 @@ def test_half_join_equals_brute_force_composition(checks):
         assert _join_all(n) == brute, f"n={n}"
 
 
-# complex64 rounds the real and imaginary parts of h to 24-bit mantissas, so
-# a table entry is off by at most 2^-24 * |h| and its |h|^2 by at most
+@pytest.mark.parametrize("n", [11, 12])
+def test_half_join_keeps_the_complex64_arithmetic(checks, n):
+    # the join's float32 verdicts bit for bit: every join the entry-sum test
+    # admits, kept by a complex64 sum of the two halves' tables at all 124
+    # points.  At n=12 an odd class's joins fill more than one grid batch,
+    # and most class runs start inside the odd axis.
+    evens, odds = _halves(n)
+    joins = [tuple(o[k] if x is None else x for k, x in enumerate(e)) for e in evens for o in odds]
+    e_at, o_at = np.divmod(np.flatnonzero(checks.four_squares_mask(joins, n)), len(odds))
+    tables = [
+        _complex64(filters.half_hall_columns(_entries(side, range(p, n, 2)), range(p, n, 2)))
+        for p, side in enumerate((evens, odds))
+    ]
+    kept = []
+    for lo in range(0, len(e_at), 1 << 14):
+        e, o = e_at[lo : lo + (1 << 14)], o_at[lo : lo + (1 << 14)]
+        h = tables[0][:, e] + tables[1][:, o]
+        ok = (h.real**2 + h.imag**2 <= 2 * n + filters.EPSILON).all(axis=0)
+        kept.extend(joins[len(odds) * a + b] for a, b in zip(e[ok], o[ok]))
+    assert _join_all(n) == sorted(kept)
+    assert len(kept) == CANDIDATE_COUNTS[n][2]
+
+
+# float32 planes round the real and imaginary parts of h to 24-bit mantissas,
+# so a table entry is off by at most 2^-24 * |h| and its |h|^2 by at most
 # (2 + 2^-24) * 2^-24 * |h|^2; the float64 references add about 1e-14
 F32_ROUND = 2.0**-24
 F32_SQUARE_RTOL = (2 + F32_ROUND) * F32_ROUND
 REFERENCE_ATOL = 1e-12
 
 
-def _table_mags(mat):
-    """|h|^2 of complex64 table entries, squared in float64."""
-    return mat.real.astype(np.float64) ** 2 + mat.imag.astype(np.float64) ** 2
+def _table_mags(planes):
+    """|h|^2 of float32 table entries, (points, 2, ...) planes, squared in float64."""
+    return planes[:, 0].astype(np.float64) ** 2 + planes[:, 1].astype(np.float64) ** 2
+
+
+def _complex64(planes):
+    """A table's (points, 2, ...) float32 planes as complex64 values, exactly."""
+    return (planes[:, 0] + 1j * planes[:, 1]).astype(np.complex64)
 
 
 def _entries(seqs, slots):
@@ -341,7 +369,9 @@ def test_half_hall_columns_on_a_grid_coarser_than_n():
     evens, _ = _halves(n)
     slots = range(0, n, 2)
     mat = filters.half_hall_columns(_entries(evens, slots), slots)
-    assert mat.dtype == np.complex64
+    assert mat.dtype == np.float32
+    assert mat.shape == (len(filters.PROGRESSIVE_POINTS), 2, len(evens))
+    mat = _complex64(mat)
     rows = [(p, j) for p, (m, j) in enumerate(filters.PROGRESSIVE_POINTS) if m == 8]
     assert len(rows) == 4
     for p, j in rows:
@@ -356,11 +386,11 @@ def test_half_hall_columns_match_single_spectra():
     cands = filters.enumerate_half_candidates(n, "even")
     cols = _grid_columns()
     slots = range(0, n, 2)
-    mat = filters.half_hall_columns(_entries(cands, slots), slots)  # (points, candidates)
-    assert mat.shape == (len(cols), len(cands))
-    assert mat.dtype == np.complex64
+    mat = filters.half_hall_columns(_entries(cands, slots), slots)  # (points, 2, candidates)
+    assert mat.shape == (len(cols), 2, len(cands))
+    assert mat.dtype == np.float32
     for r, want in enumerate(_fft_mags(cands, 128)[:, cols]):
-        assert np.allclose(_table_mags(mat[:, r]), want, rtol=F32_SQUARE_RTOL, atol=REFERENCE_ATOL)
+        assert np.allclose(_table_mags(mat[:, :, r]), want, rtol=F32_SQUARE_RTOL, atol=REFERENCE_ATOL)
 
 
 def _largest_square_error(cands, slots):
@@ -383,7 +413,7 @@ def test_single_precision_tables_stay_far_inside_epsilon(checks):
     assert _largest_square_error(members, range(32)) < epsilon / 10
     for p, side in enumerate(zip(*halves)):
         assert _largest_square_error(side, range(p, 32, 2)) < epsilon / 10
-    # a join adds two complex64 columns and squares them in float32, as
+    # a join adds two tables' planes and squares them in float32, as
     # HalfJoin does; that too stays far inside epsilon
     e_cols, o_cols = (
         filters.half_hall_columns(_entries(side, range(p, 32, 2)), range(p, 32, 2))
@@ -392,7 +422,7 @@ def test_single_precision_tables_stay_far_inside_epsilon(checks):
     h = e_cols + o_cols
     cols = _grid_columns()
     want = _fft_mags(members, 128)[:, cols].T
-    assert np.abs((h.real**2 + h.imag**2) - want).max() < epsilon / 10
+    assert np.abs((h[:, 0] ** 2 + h[:, 1] ** 2) - want).max() < epsilon / 10
 
 
 @pytest.mark.parametrize("n", [20, 24, 32])

@@ -127,10 +127,14 @@ def test_shard_union_equals_full_run(tmp_path):
 
 
 def test_worker_processes_do_not_change_output(tmp_path):
-    serial = RunConfig(n=4, out_dir=run_dir(tmp_path, "serial"))
-    forked = RunConfig(n=4, out_dir=run_dir(tmp_path, "forked"), workers=2)
-    assert pipeline.enumerate_pairs(serial) == pipeline.enumerate_pairs(forked)
-    assert serial.path_pairs().read_bytes() == forked.path_pairs().read_bytes()
+    # at n=12 two workers cut the 860 class-ordered odds into 8 spans,
+    # and the spans cut class runs
+    for n in (4, 12):
+        serial = RunConfig(n=n, out_dir=run_dir(tmp_path, f"serial{n}"))
+        forked = RunConfig(n=n, out_dir=run_dir(tmp_path, f"forked{n}"), workers=2)
+        assert pipeline.enumerate_pairs(serial) == pipeline.enumerate_pairs(forked)
+        assert serial.path_survivors().read_bytes() == forked.path_survivors().read_bytes()
+        assert serial.path_pairs().read_bytes() == forked.path_pairs().read_bytes()
 
 
 def test_report_contents(tmp_path):
@@ -391,8 +395,8 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
         Pool = SerialPool
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
-    # the pool is capped at the CPU count; 3 CPUs leave 3 workers alone
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # the pool is capped at the CPUs this process may run on; 3 leave 3 workers alone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     # 3 workers cut 2 items into 12 spans, only 2 of them non-empty
     assert pipeline._run_chunked(lambda span: [span], 2, 3) == [(0, 1), (1, 2)]
     assert pipeline._run_chunked(lambda span: [span], 9, 3) == [(k, k + 1) for k in range(9)]
@@ -401,7 +405,8 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     assert pipeline._run_chunked(lambda span: [span], 9, 1) == [(0, 9)]
     assert sizes == [2, 3]
     # more workers than CPUs fork one process per CPU, over 4 spans each
-    assert len(pipeline._run_chunked(lambda span: [span], 100, os.cpu_count() + 5)) == 12
+    cpus = len(os.sched_getaffinity(0))
+    assert len(pipeline._run_chunked(lambda span: [span], 100, cpus + 5)) == 12
     assert sizes == [2, 3, 3]
 
 
