@@ -8,17 +8,16 @@ the surviving candidates with their own ramps and conjugates on
 autocorrelation keys finds all partners of each (checked in the tests
 against a depth-first partner search, itself checked against the paper's
 programmatic SAT formulation), and a postprocessing step expands the
-normalized results to full counts via the pair-preserving equivalence
-operations.  The package namespace re-exports core's scalar operations.
+normalized results to full counts under the five pair-preserving moves,
+applied as array operations on whole pair arrays.  The package namespace
+re-exports core's scalar autocorrelation, pair check, half split and text
+form.
 """
 
 from cgolay.core import (
-    apply_equivalence,
     autocorr,
     from_text,
     is_golay_pair,
-    normalize,
-    positional_scale,
     split_even_odd,
     to_text,
 )
@@ -26,12 +25,9 @@ from cgolay.core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "apply_equivalence",
     "autocorr",
     "from_text",
     "is_golay_pair",
-    "normalize",
-    "positional_scale",
     "split_even_odd",
     "to_text",
     "__version__",

@@ -5,7 +5,8 @@ Subcommands:
 * enumerate    -- run the pipeline for one length (optionally one shard),
                   print its report and the CPU seconds the run took
 * postprocess  -- closure census over pair files: counts, classes, closure
-* verify       -- recheck every pair in a file with exact arithmetic
+* verify       -- recheck every pair in a file with exact arithmetic,
+                  one golay_mask per length and file
 * oracle       -- print the brute-force normalized pairs for a small length
 * counts       -- print the census CSV for pair files without writing files
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, oracle, pipeline, postprocess
+from . import oracle, pipeline, postprocess
 
 
 def _add_enumerate(sub):
@@ -62,13 +63,7 @@ def _make_out_dir(args):
 def _read_by_length(args):
     by_length = {}
     for path in args.inputs:
-        try:
-            pairs = pipeline.read_pairs(path)
-        except OSError as exc:
-            args.parser.error(f"cannot read {path}: {exc.strerror}")
-        except pipeline.ArtifactError as exc:
-            args.parser.error(str(exc))
-        for a, b in pairs:
+        for a, b in pipeline.read_pairs(path):
             by_length.setdefault(len(a), set()).add((a, b))
     return by_length
 
@@ -106,8 +101,6 @@ def _cmd_enumerate(args):
     except pipeline.ShardWaiting as exc:
         print(f"shard {cfg.shard_index} of {cfg.shards}: {exc}; rerun this shard once they exist")
         return 0
-    except pipeline.ArtifactError as exc:
-        args.parser.error(str(exc))
     except MemoryError:
         args.parser.error(f"length {args.n} needs more memory than this machine has")
     cpu = _cpu_seconds() - t0
@@ -132,7 +125,7 @@ def _cmd_postprocess(args):
         for pair in failing:
             print(f"  violates: {pipeline.pair_line(n, pair)}")
     csv_text = _census_csv(rows)
-    (args.out / "counts.csv").write_text(csv_text)
+    pipeline._write_atomic(args.out / "counts.csv", csv_text)
     sys.stdout.write(csv_text)
     return 0
 
@@ -142,18 +135,21 @@ def _cmd_verify(args):
     bad = total = 0
     for path, text in texts:
         *lines, last = text.split("\n")  # only "\n" ends a line, as write_pairs ends them
+        errors, parsed = {}, {}
         for lineno, line in enumerate(lines + [last] if last else lines, start=1):
             try:
                 if lineno > len(lines):
                     raise ValueError(f"no newline at the end of the line: {line!r}")
-                pair = pipeline.parse_pair_line(line)
+                parsed[lineno] = pipeline.parse_pair_line(line)
             except ValueError as exc:
-                print(f"{path}:{lineno}: unreadable: {exc}")
-                bad += 1
-                continue
-            if not core.is_golay_pair(pair):
-                print(f"{path}:{lineno}: correlation condition fails: {line}")
-                bad += 1
+                errors[lineno] = f"unreadable: {exc}"
+        ok = pipeline.golay_rows(list(parsed.values()))
+        for lineno, good in zip(parsed, ok):
+            if not good:
+                errors[lineno] = f"correlation condition fails: {lines[lineno - 1]}"
+        for lineno in sorted(errors):
+            print(f"{path}:{lineno}: {errors[lineno]}")
+        bad += len(errors)
         total += len(lines) + bool(last)
     print(f"verified {total - bad}/{total} pairs")
     return 1 if bad else 0
@@ -212,7 +208,11 @@ def main(argv=None):
         "oracle": _cmd_oracle,
         "counts": _cmd_counts,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except pipeline.ArtifactError as exc:
+        # an artifact that cannot be read, written or parsed names itself
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

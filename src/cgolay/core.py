@@ -8,27 +8,22 @@ autocorrelations are Gaussian integers held as plain (re, im) int pairs,
 never floats.  autocorrelations is the one vectorized form: exact int16
 (re, im) of every shift of every row of an exponent matrix.  The half
 filter, stage 2's self-join and golay_mask, which checks pairs for the
-pipeline and the census, all take their autocorrelations from it.
-autocorr and is_golay_pair stay scalar Python: the partner search checks
-one candidate at a time, and they are the kernel's reference.  pin works
-on (rows, 2, n) pair arrays too; it serves the census and normalize.
+pipeline, the census and cgolay verify, all take their autocorrelations
+from it.  autocorr and is_golay_pair stay scalar Python: the partner
+search checks one candidate at a time, and they are the kernel's
+reference.  The pair moves exist once, as array operations on
+(rows, 2, n) pair arrays: pin here, the 16 pinned images and the 64
+offsets in the census.
 
-Half-sequences produced by the even/odd split keep their original length
-and carry None in the vacated slots.  A None slot behaves like the value
-0: it conjugates to itself and kills any product or sum term it appears
-in.
-
-Sequences also have a compact text form used by the pair files: '+' for
-1, '-' for -1, 'i' for i, 'j' for -i, and '0' for a masked slot.
+split_even_odd keeps both halves at the original length and puts None in
+the vacated slots.  Sequences have a compact text form used by the
+artifact files: '+' for 1, '-' for -1, 'i' for i, 'j' for -i, and '0'
+for such a masked slot.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-QuatSeq = tuple  # entries: int exponents 0..3, or None for masked slots
-GaussInt = tuple  # (re, im) with int components
-Pair = tuple  # (A, B), two full QuatSeq of equal length
 
 # value of i**c, split into real/imag integer parts, indexed by exponent
 ENTRY_RE = (1, 0, -1, 0)
@@ -37,11 +32,6 @@ ENTRY_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _CHAR_FOR_EXP = {0: "+", 1: "i", 2: "-", 3: "j", None: "0"}
 _EXP_FOR_CHAR = {"+": 0, "i": 1, "-": 2, "j": 3, "0": None}
-
-
-def conj_exp(c):
-    """Exponent of the complex conjugate; None (zero) is self-conjugate."""
-    return c if c is None else (-c) & 3
 
 
 def to_text(seq):
@@ -57,40 +47,18 @@ def from_text(text):
         raise ValueError(f"bad sequence character {exc.args[0]!r} in {text!r}") from None
 
 
-def conj_seq(seq):
-    return tuple(conj_exp(c) for c in seq)
-
-
-def scale_seq(c, seq):
-    """Multiply every entry by i**c (masked slots stay masked)."""
-    return tuple(x if x is None else (x + c) & 3 for x in seq)
-
-
-def positional_scale(c, seq):
-    """Entry-wise product with the geometric ramp (i**c)**k.
-
-    Entry k is multiplied by i**(c*k); slot 0 is never changed.  Applying
-    with c=1 four times is the identity.
-    """
-    return tuple(x if x is None else (x + c * k) & 3 for k, x in enumerate(seq))
-
-
 def autocorr(seq, shift):
     """Aperiodic autocorrelation at the given shift, as an exact (re, im).
 
-    Sums entry[k] * conj(entry[k + shift]) over all k where both slots
-    exist; masked slots contribute nothing.  shift must lie in 0..n-1.
+    Sums entry[k] * conj(entry[k + shift]) over k = 0..n-1-shift; every
+    slot it reads must hold an exponent.  shift must lie in 0..n-1.
     """
     n = len(seq)
     if not 0 <= shift < n:
         raise ValueError(f"shift {shift} out of range for length {n}")
     re = im = 0
     for k in range(n - shift):
-        a = seq[k]
-        b = seq[k + shift]
-        if a is None or b is None:
-            continue
-        e = (a - b) & 3
+        e = (seq[k] - seq[k + shift]) & 3
         re += ENTRY_RE[e]
         im += ENTRY_IM[e]
     return (re, im)
@@ -143,32 +111,6 @@ def golay_mask(a, b):
     return ~(autocorrelations(a) + autocorrelations(b)).any(axis=(1, 2))
 
 
-# ---------------------------------------------------------------------------
-# pair-preserving equivalence operations
-
-EQUIV_OPS = {
-    "E1": lambda p: (p[0][::-1], p[1][::-1]),
-    "E2": lambda p: (conj_seq(p[0][::-1]), p[1]),
-    "E3": lambda p: (p[1], p[0]),
-    "E4": lambda p: (scale_seq(1, p[0]), p[1]),
-    "E5": lambda p: (positional_scale(1, p[0]), positional_scale(1, p[1])),
-}
-
-
-def apply_equivalence(op, pair):
-    """Apply one of the five pair-preserving operations E1..E5.
-
-    E1 reverses both members, E2 conjugate-reverses the first member only,
-    E3 swaps the members, E4 multiplies every first-member entry by i, and
-    E5 multiplies entry k of both members by i**k.
-    """
-    try:
-        fn = EQUIV_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}; expected one of E1..E5") from None
-    return fn(pair)
-
-
 def pin(x):
     """Pin every pair (a, b) of a (rows, 2, n) exponent array: scale and ramp
     it (E3, E4, E5) to a[0] = a[1] = b[0] = 1.  Returns int8 of the same shape."""
@@ -177,28 +119,8 @@ def pin(x):
     return ((x - x[:, :, :1] + ramp) & 3).astype(np.int8)
 
 
-def normalize(pair):
-    """Canonical representative of a pair under repeated E-operations.
-
-    Brings the pair to the form with a[0] = a[1] = b[0] = 1 and a[2] one
-    of 1, -1, i, applying only E1..E5 compositions so the result stays in
-    the input's equivalence class.  Constraints on slots a sequence does
-    not have (lengths 1 and 2) are skipped.  Idempotent.
-    """
-    a, b = pair
-    n = len(a)
-    if n == 0 or len(b) != n:
-        raise ValueError("pair members must be nonempty and of equal length")
-    x = pin(np.array([pair], dtype=np.int8))
-    if n >= 3 and x[0, 0, 2] == 3:
-        # E1 then E2 conjugates A in place and reverses B; turns a[2] = -i
-        # into i while keeping a[0] = a[1] = 1, and B is pinned again
-        x = pin(np.stack([-x[:, 0] & 3, x[:, 1, ::-1]], axis=1))
-    return tuple(map(tuple, x[0].tolist()))
-
-
 def is_normalized(pair):
-    """True iff the pair already has the normalize() output shape."""
+    """True iff a[0] = a[1] = b[0] = 1 and a[2] != -i, on the slots the pair has."""
     a, b = pair
     n = len(a)
     if a[0] != 0 or b[0] != 0:

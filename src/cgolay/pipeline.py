@@ -33,8 +33,9 @@ reloaded candidate list must still have the shape and order this run
 would write (read_candidates), and every L_A file's members must have
 their halves in this run's half lists.  Reloaded pairs must be sorted,
 of length n and start in this run's L_A; read_pairs then checks the
-parsed lines are Golay pairs, one golay_mask per length, and names the
-first bad line.
+parsed lines are Golay pairs (golay_rows, one golay_mask per length) and
+names the first bad line.  An artifact path that cannot be read or
+written raises ArtifactError naming it, as a bad line does.
 No artifact records timings, so a rerun reproduces every file byte for byte.
 """
 
@@ -101,21 +102,25 @@ def _umask():
 
 
 def _write_atomic(path, text):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            # mkstemp creates the file private; artifacts get the usual mode
-            os.fchmod(f.fileno(), 0o666 & ~_umask())
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                # mkstemp creates the file private; artifacts get the usual mode
+                os.fchmod(f.fileno(), 0o666 & ~_umask())
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ArtifactError(f"cannot write {path}: {exc.strerror}") from None
 
 
 class ArtifactError(ValueError):
-    """An artifact that does not decode, parse or check; the message names path[:line]."""
+    """An artifact that cannot be read or written, or does not decode, parse or
+    check; the message names path[:line]."""
 
 
 def _read_lines(path, parse, check=None):
@@ -123,6 +128,8 @@ def _read_lines(path, parse, check=None):
     Only LF ends a line, as the writers end them; CR LF, CR or U+2028 do not."""
     try:
         *lines, last = path.read_bytes().decode().split("\n")
+    except OSError as exc:
+        raise ArtifactError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ArtifactError(f"{path}: {exc}") from None
     out, error = [], None
@@ -216,6 +223,16 @@ def write_pairs(path, n, pairs):
     _write_atomic(path, np.hstack([prefix, text]).tobytes().decode())
 
 
+def golay_rows(pairs):
+    """Per tuple pair, of any mix of lengths: is it a Golay pair, by one
+    core.golay_mask per length."""
+    ok = np.ones(len(pairs), dtype=bool)
+    for m in {len(a) for a, _ in pairs}:
+        at = [k for k, (a, _) in enumerate(pairs) if len(a) == m]
+        ok[at] = core.golay_mask(*np.array([pairs[k] for k in at], np.int8).swapaxes(0, 1))
+    return ok
+
+
 def read_pairs(path, n=None, firsts=None):
     """Reload a pair file of Golay pairs.  With a run's n and L_A (firsts),
     the lines must also be sorted, unique, of length n and start in firsts."""
@@ -235,10 +252,7 @@ def read_pairs(path, n=None, firsts=None):
         return pair
 
     def check(pairs):
-        ok = np.ones(len(pairs), dtype=bool)
-        for m in {len(a) for a, _ in pairs}:
-            at = [k for k, (a, _) in enumerate(pairs) if len(a) == m]
-            ok[at] = core.golay_mask(*np.array([pairs[k] for k in at], np.int8).swapaxes(0, 1))
+        ok = golay_rows(pairs)
         return None if ok.all() else (int(ok.argmin()), "not a Golay pair")
 
     return _read_lines(path, parse, check)

@@ -1,10 +1,12 @@
 """Census, classification, and diagnostics over enumerated pairs.
 
 The enumeration emits normalized pairs.  This module expands them into
-every pair of their classes under the five equivalence moves E1..E5
-(core.apply_equivalence) and counts, per length, the distinct member
-sequences, the pairs and the classes.  Scaling A, scaling B and the ramp
-generate 64 offsets (A + p, B + q, both + r*k, mod 4), a normal subgroup
+every pair of their classes under the five equivalence moves: E1
+reverses both members, E2 conjugate-reverses the first, E3 swaps them,
+E4 multiplies the first by i and E5 multiplies entry k of both by i**k.
+It counts, per length, the distinct member sequences, the pairs and the
+classes, applying the moves to whole pair arrays.  Scaling A, scaling B
+and the ramp generate 64 offsets (A + p, B + q, both + r*k, mod 4), a normal subgroup
 acting freely from length 2 on, so each pair is one offset of exactly one
 pinned pair, with a[0] = a[1] = b[0] = 1 (core.pin).  Modulo the offsets,
 E1, E2 and E3 act as a group of order 16: identity, reversal R,

@@ -227,6 +227,42 @@ def test_undecodable_pair_file_is_a_usage_error(tmp_path, capsys, argv, prefix):
     assert not (runs / "report_n3.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "command, path, verb",
+    [
+        ("enumerate", "L_A_n5.txt", "read"),
+        ("enumerate", "report_n5.txt", "write"),
+        ("postprocess", "pairs_all_n5.txt", "write"),
+        ("postprocess", "counts.csv", "write"),
+    ],
+    ids=["enumerate-reload", "enumerate-report", "postprocess-closure", "postprocess-counts"],
+)
+def test_artifact_path_that_is_a_directory_is_a_usage_error(
+    tmp_path, capsys, command, path, verb
+):
+    runs = tmp_path / "runs"
+    run_cli("enumerate", "--n", "5", "--out", str(runs))
+    out = runs if command == "enumerate" else tmp_path / "census"
+    artifact = out / path
+    if artifact.exists():
+        artifact.unlink()
+    artifact.mkdir(parents=True)
+    capsys.readouterr()
+    argv = ["enumerate", "--n", "5", "--out", str(out)]
+    if command == "postprocess":
+        argv = ["postprocess", "--in", str(runs / "pairs_n5.txt"), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        f"cgolay {command}: error: cannot {verb} {artifact}: Is a directory"
+    )
+    assert "Traceback" not in captured.err
+    # the failed writer left no temp file behind
+    assert not [f for f in out.iterdir() if f.name.endswith(".tmp")]
+
+
 def test_oracle_subcommand(capsys):
     assert run_cli("oracle", "--n", "2") == 0
     assert capsys.readouterr().out == "2\t++\t+-\n"
@@ -251,6 +287,31 @@ def test_verify_rejects_tampering(tmp_path, capsys):
     assert "correlation condition fails" in printed
     assert "unreadable" in printed
     assert "verified 1/3 pairs" in printed
+
+
+def test_verify_names_bad_lines_in_order_across_lengths(tmp_path, capsys):
+    # lengths 3 and 4 interleaved, each with a non-pair and an unreadable line;
+    # the pairs are checked one length at a time, the report keeps line order
+    lines = [
+        "4\t+++-\t++-+",
+        "3\t++-\t+++",
+        "4\t++i",
+        "3\t++-\t+i+",
+        "4\t++++\t++++",
+        "3\t++x\t+i+",
+        "4\t++-+\t+++-",
+        "3\t++-\t+j+",
+    ]
+    path = tmp_path / "pairs.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert run_cli("verify", "--pairs", str(path)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:2: correlation condition fails: 3\t++-\t+++",
+        f"{path}:3: unreadable: expected three tab-separated fields: '4\\t++i'",
+        f"{path}:5: correlation condition fails: 4\t++++\t++++",
+        f"{path}:6: unreadable: bad sequence character 'x' in '++x'",
+        "verified 4/8 pairs",
+    ]
 
 
 def test_verify_reads_only_newline_ended_lines(tmp_path, capsys):

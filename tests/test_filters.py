@@ -428,19 +428,18 @@ def test_single_precision_tables_stay_far_inside_epsilon(checks):
 @pytest.mark.parametrize("n", [20, 24, 32])
 def test_constructed_first_members_survive_both_filters(checks, n):
     # the fail-able soundness checks above stop at n=10; these pairs exist
-    # at every length the constructions reach, moved or not
-    rng = random.Random(n)
-    pairs = checks.constructions(n)
-    pairs += [checks.random_moves(p, rng) for p in pairs for _ in range(2)]
+    # at every length the constructions reach, and every normalized first
+    # member of their classes (either side, by the swap) must survive
+    closure = checks.closure(set(checks.constructions(n)))
+    firsts = sorted({a for a, _ in closure if checks.is_normalized_first(a)})
+    assert firsts
     points = _hall_points(checks, n)
-    for pair in pairs:
-        a, b = core.normalize(pair)
-        halves = core.split_even_odd(a) + core.split_even_odd(b)
-        assert checks.spectral_mask(halves, n, points).all(), pair
+    for a in firsts:
+        halves = core.split_even_odd(a)
+        assert checks.spectral_mask(halves, n, points).all(), a
         for k, half in enumerate(halves):
-            assert filters._hall_survivors(np.array([half[k % 2 :: 2]]), n).size == 1, (half, pair)
-        even, odd = core.split_even_odd(a)
-        assert filters.HalfJoin(n, [even], [odd]).sweep(0, 1) == [a], pair
+            assert filters._hall_survivors(np.array([half[k::2]]), n).size == 1, (half, a)
+        assert filters.HalfJoin(n, [halves[0]], [halves[1]]).sweep(0, 1) == [a], a
 
 
 def test_half_scaled_sums_match_scalar_path(checks):

@@ -292,11 +292,14 @@ def test_concurrent_writers_of_one_path_never_fail(tmp_path):
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     def refuse(src, dst):
-        raise OSError("replace refused")
+        raise PermissionError(13, "Permission denied", src, None, dst)
 
     monkeypatch.setattr(pipeline.os, "replace", refuse)
-    with pytest.raises(OSError):
-        pipeline.write_candidates(tmp_path / "cands.txt", [(0, 0)])
+    path = tmp_path / "cands.txt"
+    # the error names the artifact, not the temp file os.replace failed on
+    with pytest.raises(pipeline.ArtifactError) as exc:
+        pipeline.write_candidates(path, [(0, 0)])
+    assert str(exc.value) == f"cannot write {path}: Permission denied"
     assert os.listdir(tmp_path) == []
 
 
